@@ -51,6 +51,13 @@ echo "== cargo test --release (workspace, consolidated) =="
 # test (tests/determinism.rs) all run here at release timings.
 cargo test -q --release --workspace
 
+echo "== perfbench self-test (benchmark crate against this kernel) =="
+# The benchmark is its own cargo package outside the workspace, so the
+# workspace passes above never build it. Its self-test runs every
+# workload at minimal size against the pinned goldens and checks the
+# metric names against BENCHMARK.json.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== campaign smoke (fig2 --quick --jobs 2) =="
 cargo run --release -q -p mbsim-bench --bin fig2 -- \
     --quick --jobs 2 --json /tmp/fig2_campaign.json >/dev/null

@@ -40,7 +40,7 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"MBCK";
 
 /// Current format version. Bump on any incompatible payload change.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Header flag bit: the payload carries VCD trace-continuation bytes.
 pub const FLAG_TRACE: u16 = 1 << 0;

@@ -282,7 +282,7 @@ pub(crate) fn dead_elements(g: &DesignGraph, out: &mut Vec<Finding>) {
     }
     let mut dead_writes: Vec<&str> = Vec::new();
     for s in &g.signals {
-        let written = !s.writers.is_empty() || s.external_writes;
+        let written = !s.writers.is_empty() || s.external_writes || s.kernel_driven;
         let read = !s.readers.is_empty() || s.external_reads;
         let consumed = read || has_subscribers(g, s.id) || s.traced;
         if written && !consumed {

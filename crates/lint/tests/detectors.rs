@@ -249,6 +249,30 @@ fn dead_elements_silent_on_fully_wired_design() {
     assert!(report.is_clean());
 }
 
+/// The clock is driven by the kernel, not by a process, so its signal has
+/// no observed writer; a process reading the clock level must still not
+/// make it look unbound.
+#[test]
+fn dead_elements_count_a_kernel_clock_as_written() {
+    let sim = Simulator::new();
+    sim.probe_enable();
+    let clk: Clock<bool> = Clock::new(&sim, "clk", SimTime::from_ns(10));
+    let level = clk.signal().clone();
+    let highs = Rc::new(Cell::new(0u32));
+    let h = highs.clone();
+    sim.process("sampler").sensitive(clk.signal().changed()).no_init().method(move |_| {
+        h.set(h.get() + u32::from(level.read()));
+    });
+    sim.run_for(SimTime::from_ns(50));
+    assert!(highs.get() > 0);
+
+    let g = sim.design_graph();
+    let clk_node = g.signals.iter().find(|s| s.name == "clk").expect("clock signal");
+    assert!(clk_node.writers.is_empty() && clk_node.kernel_driven);
+    let report = analyze(&g);
+    assert!(report.by_rule(Rule::DeadElement).is_empty(), "{}", report.to_text());
+}
+
 /// Buggy-looking fixture: after a module swap the parked and retired
 /// personalities never activate again — which must read as `info`
 /// ("swapped out"), not as the false-positive dead-process warning.

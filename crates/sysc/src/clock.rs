@@ -1,11 +1,14 @@
 //! A free-running clock, the analogue of `sc_clock`.
 //!
-//! Like `sc_clock`, the clock is an ordinary module: a thread process that
-//! toggles a signal every half period. All synchronous platform processes
-//! are statically sensitive to the clock's rising-edge event.
+//! Unlike `sc_clock`, which is a module with a generator process, the
+//! clock is a kernel primitive: a timed-queue entry that requests the
+//! signal's next level every half period and re-arms itself. The edge
+//! commits in the same update phase a generator thread's write would, so
+//! waveforms, edge events and delta counts are those of a process-driven
+//! clock — minus the two process activations per cycle. All synchronous
+//! platform processes are statically sensitive to the rising-edge event.
 
 use crate::kernel::{EventId, Simulator};
-use crate::process::Next;
 use crate::signal::Signal;
 use crate::time::SimTime;
 use crate::value::SigValue;
@@ -14,8 +17,9 @@ use std::fmt;
 /// A periodic clock over any single-bit signal type (`bool` for native
 /// models, [`Logic`](crate::Logic) for resolved ones).
 ///
-/// The first rising edge occurs at time zero (delta 1); subsequent edges
-/// every `period`.
+/// The first rising edge occurs at the start of the first `run_*` call
+/// after construction (committing in that call's first delta); subsequent
+/// edges every `period`.
 ///
 /// # Examples
 ///
@@ -57,17 +61,7 @@ impl<B: SigValue + From<bool>> Clock<B> {
         assert!(!period.is_zero(), "clock period must be nonzero");
         assert!(period.as_ps().is_multiple_of(2), "clock period must be an even number of ps");
         let sig = sim.signal_with::<B>(name, B::from(false));
-        let half = period / 2;
-        let s = sig.clone();
-        sim.process(format!("{name}.gen")).thread(move |_| {
-            // The next level is derived from the committed signal value
-            // (the thread only ever sees the previous half-period's
-            // commit), so the generator carries no hidden state and a
-            // checkpoint restore resumes the waveform seamlessly.
-            let v = !s.read().edge_level().unwrap_or(false);
-            s.write(B::from(v));
-            Next::In(half)
-        });
+        sig.drive_as_clock(&sim.k, period / 2);
         Clock { sig, period }
     }
 

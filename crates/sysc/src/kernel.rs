@@ -16,7 +16,7 @@
 //! paper's §4.3 experiment measures.
 
 use crate::process::{Body, Ctx, Next, ProcId, ProcSlot, Wait};
-use crate::signal::{ChannelCkpt, Update, WriteHub};
+use crate::signal::{ChannelCkpt, ClockLine, Update, WriteHub};
 use crate::time::SimTime;
 use crate::trace::{TraceSource, Vcd};
 use crate::value::SigValue;
@@ -52,6 +52,18 @@ enum Action {
     Resume(ProcId),
     /// Notify an event (delta semantics at the target time).
     Notify(EventId),
+    /// Edge of kernel clock `n`: request the clock signal's next level,
+    /// then re-arm half a period later.
+    Clock(usize),
+}
+
+/// A kernel-driven clock line (see [`Clock`](crate::Clock)).
+struct ClockEntry {
+    line: Rc<dyn ClockLine>,
+    half: SimTime,
+    /// The first edge has been requested; until then the clock has no
+    /// timed entry.
+    started: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,6 +199,23 @@ pub(crate) struct KernelShared {
     /// [`ChannelCkpt`]); identically elaborated models share this order,
     /// which is what lets a snapshot restore by index.
     pub(crate) channels: RefCell<Vec<Rc<dyn ChannelCkpt>>>,
+    /// Kernel-driven clocks, indexed by [`Action::Clock`].
+    clocks: RefCell<Vec<ClockEntry>>,
+    /// Spare buffers of the delta loop — the delta batch, the update list
+    /// and one timed step's actions — swapped with the live queues each
+    /// step so the steady state allocates nothing.
+    batch_buf: RefCell<Vec<ProcId>>,
+    update_buf: RefCell<Vec<Rc<dyn Update>>>,
+    action_buf: RefCell<Vec<Action>>,
+}
+
+impl Drop for KernelShared {
+    /// Breaks the `SignalCore → hub → updates → SignalCore` cycle that an
+    /// uncommitted write (one never settled by a `run_*` call) leaves
+    /// behind, so dropping the simulator frees its signals.
+    fn drop(&mut self) {
+        drop(self.hub.updates.take());
+    }
 }
 
 impl KernelShared {
@@ -206,6 +235,10 @@ impl KernelShared {
             rng: Cell::new(0),
             max_phase: Cell::new(0),
             channels: RefCell::new(Vec::new()),
+            clocks: RefCell::new(Vec::new()),
+            batch_buf: RefCell::new(Vec::new()),
+            update_buf: RefCell::new(Vec::new()),
+            action_buf: RefCell::new(Vec::new()),
         }
     }
 
@@ -284,6 +317,39 @@ impl KernelShared {
         self.push_timed(self.now.get().saturating_add(after), Action::Notify(ev));
     }
 
+    /// Registers a kernel clock toggling `line` every `half`. Its first
+    /// edge is requested by the next `run_*` call, not here: a pending
+    /// update of a never-run simulator would sit in the hub until drop.
+    pub(crate) fn register_clock(&self, line: Rc<dyn ClockLine>, half: SimTime) {
+        self.clocks.borrow_mut().push(ClockEntry { line, half, started: false });
+    }
+
+    /// Requests the first edge of every clock not yet started.
+    fn start_clocks(&self) {
+        let n = self.clocks.borrow().len();
+        for i in 0..n {
+            let started = std::mem::replace(&mut self.clocks.borrow_mut()[i].started, true);
+            if !started {
+                self.clock_edge(i);
+            }
+        }
+    }
+
+    /// One edge of clock `n`: an ordinary plain write request, committed
+    /// in this time step's first update phase — where a generator
+    /// thread's write would commit — then the re-arm half a period later.
+    fn clock_edge(&self, n: usize) {
+        let half = {
+            let clocks = self.clocks.borrow();
+            let c = &clocks[n];
+            if c.line.request_toggle() {
+                self.hub.updates.borrow_mut().push(c.line.clone());
+            }
+            c.half
+        };
+        self.push_timed(self.now.get().saturating_add(half), Action::Clock(n));
+    }
+
     /// Schedules `pid` to run in the next delta cycle. `from_static` marks
     /// a static-sensitivity trigger, which is ignored while the process is
     /// parked in a dynamic (timed or event) wait — SystemC semantics.
@@ -338,8 +404,8 @@ impl KernelShared {
     }
 
     /// Executes one process activation and re-arms its wait state.
-    fn run_process(&self, pid: ProcId) {
-        let probe_on = self.hub.probe_on.get();
+    /// `probe_on` is the probe flag, sampled once per delta batch.
+    fn run_process(&self, pid: ProcId, probe_on: bool) {
         let (mut body, phase) = {
             let mut procs = self.procs.borrow_mut();
             let slot = &mut procs[pid.0];
@@ -369,6 +435,7 @@ impl KernelShared {
         self.stats.activations.set(self.stats.activations.get() + 1);
         if probe_on {
             self.hub.cur_proc.set(pid.0 as u32);
+            self.hub.cur_bit.set(if pid.0 < 64 { 1 << pid.0 } else { 0 });
             self.hub.cur_phase.set(phase);
         }
         let mut ctx = Ctx::new(self, pid);
@@ -391,9 +458,6 @@ impl KernelShared {
                 *std::hint::black_box(frame)
             }
         };
-        if probe_on {
-            self.hub.cur_proc.set(crate::probe::NO_PROC);
-        }
         let mut procs = self.procs.borrow_mut();
         let slot = &mut procs[pid.0];
         if matches!(slot.life, crate::probe::LifeState::Killed) {
@@ -438,17 +502,24 @@ impl KernelShared {
     /// Runs delta cycles until quiescent at the current time point.
     fn settle(&self) {
         loop {
-            let mut batch = {
-                let mut pending = self.pending.borrow_mut();
-                if pending.is_empty() && self.hub.updates.borrow().is_empty() {
-                    break;
-                }
-                std::mem::take(&mut *pending)
-            };
-            self.arrange(&mut batch);
-            for pid in batch {
-                self.run_process(pid);
+            if self.pending.borrow().is_empty() && self.hub.updates.borrow().is_empty() {
+                break;
             }
+            let mut batch = self.batch_buf.take();
+            std::mem::swap(&mut *self.pending.borrow_mut(), &mut batch);
+            self.arrange(&mut batch);
+            let probe_on = self.hub.probe_on.get();
+            for &pid in &batch {
+                self.run_process(pid, probe_on);
+            }
+            if probe_on {
+                // Each activation names itself; accesses after the batch
+                // are the testbench's.
+                self.hub.cur_proc.set(crate::probe::NO_PROC);
+                self.hub.cur_bit.set(0);
+            }
+            batch.clear();
+            self.batch_buf.replace(batch);
             if self.hub.race_on.get() {
                 // Race detector: cross-check this delta's evaluate-phase
                 // plain-state access log.
@@ -460,14 +531,16 @@ impl KernelShared {
             // Commits apply in canonical (registration) key order, not in
             // evaluation (request) order, so commit side effects — change
             // notifications, VCD records — are schedule-independent.
-            let mut ups: Vec<Rc<dyn Update>> = std::mem::take(&mut *self.hub.updates.borrow_mut());
+            let mut ups = self.update_buf.take();
+            std::mem::swap(&mut *self.hub.updates.borrow_mut(), &mut ups);
             if ups.len() > 1 {
                 ups.sort_by_key(|u| u.order_key());
             }
             self.stats.updates.set(self.stats.updates.get() + ups.len() as u64);
-            for u in ups {
+            for u in ups.drain(..) {
                 u.apply(self);
             }
+            self.update_buf.replace(ups);
             self.stats.deltas.set(self.stats.deltas.get() + 1);
             if self.hub.probe_on.get() {
                 let n = self.hub.deltas_this_step.get() + 1;
@@ -596,40 +669,38 @@ impl Simulator {
     pub fn run_until(&self, limit: SimTime) -> RunReason {
         let k = &self.k;
         k.stop.set(false);
+        k.start_clocks();
         loop {
             k.settle();
             if k.stop.get() {
                 return RunReason::Stopped;
             }
             // Advance time.
-            let actions: Vec<Action> = {
-                let mut timed = k.timed.borrow_mut();
-                match timed.peek() {
-                    None => return RunReason::Starved,
-                    Some(Reverse(e)) if e.time > limit => {
-                        k.now.set(limit);
-                        return RunReason::TimeReached;
-                    }
-                    Some(Reverse(e)) => {
-                        let t = e.time;
-                        k.now.set(t);
-                        k.stats.timed_steps.set(k.stats.timed_steps.get() + 1);
-                        if k.hub.probe_on.get() {
-                            k.hub.commit_armed.set(false);
-                            k.hub.deltas_this_step.set(0);
-                        }
-                        let mut actions = Vec::new();
-                        while let Some(Reverse(e)) = timed.peek() {
-                            if e.time != t {
-                                break;
-                            }
-                            actions.push(timed.pop().expect("peeked").0.action);
-                        }
-                        actions
-                    }
-                }
+            let t = match k.timed.borrow().peek() {
+                None => return RunReason::Starved,
+                Some(Reverse(e)) => e.time,
             };
-            for a in actions {
+            if t > limit {
+                k.now.set(limit);
+                return RunReason::TimeReached;
+            }
+            k.now.set(t);
+            k.stats.timed_steps.set(k.stats.timed_steps.get() + 1);
+            if k.hub.probe_on.get() {
+                k.hub.commit_armed.set(false);
+                k.hub.deltas_this_step.set(0);
+            }
+            let mut actions = k.action_buf.take();
+            {
+                let mut timed = k.timed.borrow_mut();
+                while let Some(Reverse(e)) = timed.peek() {
+                    if e.time != t {
+                        break;
+                    }
+                    actions.push(timed.pop().expect("peeked").0.action);
+                }
+            }
+            for &a in &actions {
                 match a {
                     Action::Resume(pid) => {
                         let resumable = {
@@ -647,8 +718,11 @@ impl Simulator {
                         }
                     }
                     Action::Notify(ev) => k.notify_now(ev),
+                    Action::Clock(n) => k.clock_edge(n),
                 }
             }
+            actions.clear();
+            k.action_buf.replace(actions);
         }
     }
 
@@ -936,9 +1010,9 @@ impl Simulator {
 
     /// Serializes the complete kernel state — time, schedule order and
     /// PRNG stream, statistics, every process's wait/lifecycle state, the
-    /// runnable queue, the timed-event queue, event subscriptions, and
-    /// every channel's committed value — into `w` as the `KERN` and
-    /// `CHAN` sections of a checkpoint payload.
+    /// runnable queue, the timed-event queue, event subscriptions, which
+    /// clocks have started, and every channel's committed value — into
+    /// `w` as the `KERN` and `CHAN` sections of a checkpoint payload.
     ///
     /// Must be called at quiescence (after a `run_*` call has returned):
     /// the update queue is then empty, so channel state is exactly the
@@ -1023,6 +1097,10 @@ impl Simulator {
                     w.u8(1);
                     w.u32(ev.0 as u32);
                 }
+                Action::Clock(n) => {
+                    w.u8(2);
+                    w.u32(n as u32);
+                }
             }
         }
 
@@ -1036,6 +1114,13 @@ impl Simulator {
             }
         }
         drop(events);
+
+        let clocks = k.clocks.borrow();
+        w.u32(clocks.len() as u32);
+        for c in clocks.iter() {
+            w.bool(c.started);
+        }
+        drop(clocks);
         w.end_section();
 
         w.begin_section(b"CHAN");
@@ -1137,6 +1222,7 @@ impl Simulator {
         }
 
         let nevents = k.events.borrow().len();
+        let nclocks = k.clocks.borrow().len();
         let ntimed = r.u32()? as usize;
         let mut timed = Vec::with_capacity(ntimed);
         for _ in 0..ntimed {
@@ -1156,6 +1242,13 @@ impl Simulator {
                         return Err(CkptError::Corrupt("timed event id out of range"));
                     }
                     Action::Notify(EventId(ev))
+                }
+                2 => {
+                    let n = r.u32()? as usize;
+                    if n >= nclocks {
+                        return Err(CkptError::Corrupt("timed clock id out of range"));
+                    }
+                    Action::Clock(n)
                 }
                 _ => return Err(CkptError::Corrupt("timed action tag out of range")),
             };
@@ -1183,6 +1276,13 @@ impl Simulator {
                 }
                 dyn_subs.push(subs);
             }
+        }
+        if r.u32()? as usize != nclocks {
+            return Err(CkptError::Corrupt("clock count mismatch"));
+        }
+        let mut clocks_started = Vec::with_capacity(nclocks);
+        for _ in 0..nclocks {
+            clocks_started.push(r.bool()?);
         }
         r.end_section()?;
 
@@ -1235,6 +1335,9 @@ impl Simulator {
             for (e, subs) in events.iter_mut().zip(dyn_subs) {
                 e.dyn_subs = subs;
             }
+        }
+        for (c, started) in k.clocks.borrow_mut().iter_mut().zip(clocks_started) {
+            c.started = started;
         }
         k.stop.set(false);
         Ok(())

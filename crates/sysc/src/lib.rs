@@ -356,11 +356,43 @@ mod kernel_tests {
         sim.process("m").sensitive(clk.posedge()).no_init().method(|_| {});
         sim.run_for(SimTime::from_ns(100));
         let st = sim.stats();
-        assert!(st.activations >= 20, "clock gen + method: {st:?}");
-        assert!(st.deltas >= 10);
-        assert!(st.updates >= 10);
-        assert!(st.timed_steps >= 10);
-        assert_eq!(st.processes, 2);
+        // The clock is a kernel primitive, not a process: the only
+        // activations are the method's, one per rising edge (0, 10, ...,
+        // 100 ns). Deltas, updates and timed steps are those of a
+        // process-driven clock: every edge commits in its step's first
+        // delta, and a rising edge adds the method's delta.
+        assert_eq!(st.processes, 1, "no clock process: {st:?}");
+        assert_eq!(st.activations, 11, "one activation per rising edge: {st:?}");
+        assert_eq!(st.deltas, 11 * 2 + 10, "{st:?}");
+        assert_eq!(st.updates, 21, "one commit per edge: {st:?}");
+        assert_eq!(st.timed_steps, 20, "every half period after time zero: {st:?}");
+    }
+
+    #[test]
+    fn dropping_an_unsettled_simulator_frees_its_signals() {
+        // An uncommitted write parks the signal core in the hub's update
+        // list, which the core itself keeps alive through its hub handle.
+        let sim = Simulator::new();
+        let sig = sim.signal::<u32>("s");
+        sig.write(1);
+        let core = Rc::downgrade(&sig.core_rc());
+        drop(sig);
+        drop(sim);
+        assert!(core.upgrade().is_none(), "the simulator leaked its written signal");
+    }
+
+    #[test]
+    fn a_never_run_clock_leaves_nothing_pending() {
+        // The first edge is requested by the first run, not at
+        // construction, so a built-but-never-run clock holds no update.
+        let sim = Simulator::new();
+        let clk: Clock<bool> = Clock::new(&sim, "clk", SimTime::from_ns(10));
+        let core = Rc::downgrade(&clk.signal().core_rc());
+        let mut w = checkpoint::Writer::new();
+        sim.ckpt_save(&mut w); // asserts quiescence
+        drop(clk);
+        drop(sim);
+        assert!(core.upgrade().is_none(), "the simulator leaked its clock signal");
     }
 
     #[test]

@@ -121,6 +121,11 @@ pub struct SignalNode {
     pub width: usize,
     /// Writing ports currently attached (driver registrations).
     pub driver_slots: usize,
+    /// `true` if a kernel primitive — a [`Clock`](crate::Clock) — drives
+    /// the signal rather than a process. Recorded statically at
+    /// elaboration; such a signal counts as written even though no
+    /// process appears in [`writers`](SignalNode::writers).
+    pub kernel_driven: bool,
     /// Event id of the value-changed event.
     pub changed_event: usize,
     /// Event id of the rising-edge event (single-bit signals).
@@ -372,6 +377,7 @@ pub(crate) struct SigStatic {
     pub(crate) posedge: Option<usize>,
     pub(crate) negedge: Option<usize>,
     pub(crate) driver_slots: Cell<usize>,
+    pub(crate) kernel_driven: Cell<bool>,
     pub(crate) traced: Cell<bool>,
 }
 
@@ -687,6 +693,7 @@ pub(crate) fn snapshot(
             resolved: s.resolved,
             width: s.width,
             driver_slots: s.driver_slots.get(),
+            kernel_driven: s.kernel_driven.get(),
             changed_event: s.changed,
             posedge_event: s.posedge,
             negedge_event: s.negedge,

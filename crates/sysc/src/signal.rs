@@ -15,6 +15,7 @@
 
 use crate::kernel::{EventId, KernelShared};
 use crate::probe::{AccessOp, ProbeState, SigStatic, StateKind, StateStatic, NO_PROC};
+use crate::time::SimTime;
 use crate::trace::TraceSource;
 use crate::value::SigValue;
 use std::cell::{Cell, RefCell};
@@ -40,6 +41,10 @@ pub(crate) struct WriteHub {
     /// The process whose body is currently executing ([`NO_PROC`] outside
     /// any process). Maintained by the kernel only while the probe is on.
     pub(crate) cur_proc: Cell<u32>,
+    /// `1 << cur_proc` for process ids below 64 (the width of the
+    /// per-signal reader/writer bitmaps), `0` otherwise: the steady-state
+    /// access hook is one load and one bit test against the bitmap.
+    pub(crate) cur_bit: Cell<u64>,
     /// Fast flag: record signal commits this delta. Only set while the
     /// delta count of the current timestep approaches the watchdog bound —
     /// commit recording exists solely to name the oscillating signals.
@@ -75,6 +80,7 @@ impl Default for WriteHub {
             probe_on: Cell::new(false),
             probe: RefCell::new(None),
             cur_proc: Cell::new(NO_PROC),
+            cur_bit: Cell::new(0),
             commit_armed: Cell::new(false),
             deltas_this_step: Cell::new(0),
             delta_limit: Cell::new(crate::probe::DEFAULT_DELTA_LIMIT),
@@ -134,6 +140,16 @@ pub(crate) trait Update {
     /// ascending key order (registration order), so commit side effects —
     /// change events, VCD records — do not depend on evaluation order.
     fn order_key(&self) -> u64;
+}
+
+/// A signal the kernel toggles as a clock line (internal; see
+/// [`Clock`](crate::Clock)).
+pub(crate) trait ClockLine: Update {
+    /// Requests the inverse of the committed level as a plain write,
+    /// bypassing the probe's per-access hooks: the clock is recorded once,
+    /// statically, as its signal's kernel driver. Returns `true` if the
+    /// signal was not yet pending, i.e. the caller must queue its update.
+    fn request_toggle(&self) -> bool;
 }
 
 /// A channel whose value state can be checkpointed (internal). Every
@@ -271,13 +287,14 @@ impl<T: SigValue> SignalCore<T> {
     /// Records the (writer, signal) pair once; repeats cost one bit test.
     #[inline]
     fn probe_record_write(&self, writer: u32) {
-        if writer < 64 {
-            let m = self.probe_write_lo.get();
-            let b = 1u64 << writer;
-            if m & b == 0 {
-                self.probe_write_lo.set(m | b);
-                self.probe_write_miss(writer);
-            }
+        let b = self.hub.cur_bit.get();
+        let m = self.probe_write_lo.get();
+        if m & b != 0 {
+            return;
+        }
+        if b != 0 {
+            self.probe_write_lo.set(m | b);
+            self.probe_write_miss(writer);
         } else if self.probe_rec.get() != writer {
             self.probe_rec.set(writer);
             self.probe_write_miss(writer);
@@ -289,6 +306,24 @@ impl<T: SigValue> SignalCore<T> {
     fn probe_write_miss(&self, writer: u32) {
         if let Some(p) = self.hub.probe.borrow().as_deref() {
             p.note_write(self.probe_id, writer);
+        }
+    }
+
+    /// Records the (reader, signal) pair once; repeats cost one bit test.
+    #[inline]
+    fn probe_record_read(&self) {
+        let b = self.hub.cur_bit.get();
+        let m = self.probe_read_lo.get();
+        if m & b != 0 {
+            return;
+        }
+        let reader = self.hub.cur_proc.get();
+        if b != 0 {
+            self.probe_read_lo.set(m | b);
+            self.probe_read_miss(reader);
+        } else if self.probe_read.get() != reader {
+            self.probe_read.set(reader);
+            self.probe_read_miss(reader);
         }
     }
 
@@ -374,6 +409,17 @@ impl<T: SigValue> Update for SignalCore<T> {
     }
 }
 
+impl<T: SigValue + From<bool>> ClockLine for SignalCore<T> {
+    fn request_toggle(&self) -> bool {
+        // The next level is derived from the committed value, so the
+        // clock carries no hidden state and a checkpoint restore resumes
+        // the waveform seamlessly.
+        let level = self.cur.borrow().edge_level().unwrap_or(false);
+        *self.next.borrow_mut() = T::from(!level);
+        !self.pending.replace(true)
+    }
+}
+
 impl<T: SigValue> TraceSource for SignalCore<T> {
     fn sample_vcd(&self) -> String {
         let mut s = String::with_capacity(T::VCD_WIDTH);
@@ -439,6 +485,7 @@ impl<T: SigValue> Signal<T> {
                 posedge: posedge.map(|e| e.0),
                 negedge: negedge.map(|e| e.0),
                 driver_slots: Cell::new(0),
+                kernel_driven: Cell::new(false),
                 traced: Cell::new(false),
             });
             registry.len() - 1
@@ -481,18 +528,7 @@ impl<T: SigValue> Signal<T> {
     #[inline]
     pub fn read(&self) -> T {
         if self.core.hub.probe_on.get() {
-            let cur = self.core.hub.cur_proc.get();
-            if cur < 64 {
-                let m = self.core.probe_read_lo.get();
-                let b = 1u64 << cur;
-                if m & b == 0 {
-                    self.core.probe_read_lo.set(m | b);
-                    self.core.probe_read_miss(cur);
-                }
-            } else if self.core.probe_read.get() != cur {
-                self.core.probe_read.set(cur);
-                self.core.probe_read_miss(cur);
-            }
+            self.core.probe_record_read();
         }
         self.core.cur.borrow().clone()
     }
@@ -570,6 +606,16 @@ impl<T: SigValue> Signal<T> {
 
     pub(crate) fn core_rc(&self) -> Rc<SignalCore<T>> {
         self.core.clone()
+    }
+
+    /// Hands this signal to the kernel as a clock line toggling every
+    /// `half`, and records the kernel as its static driver.
+    pub(crate) fn drive_as_clock(&self, k: &KernelShared, half: SimTime)
+    where
+        T: From<bool>,
+    {
+        self.core.hub.registry.borrow()[self.core.probe_id].kernel_driven.set(true);
+        k.register_clock(self.core.clone(), half);
     }
 
     pub(crate) fn set_trace_index(&self, idx: usize) {

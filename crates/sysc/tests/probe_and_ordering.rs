@@ -193,8 +193,9 @@ fn static_graph_records_elaboration_without_probe() {
     assert_eq!(count.kind, ProcKind::Method);
     assert_eq!(count.sensitivity, vec![pos], "static sensitivity edge recorded");
     assert!(g.events[pos].subscribers.contains(&count.id));
-    let gen = g.processes.iter().find(|p| p.name == "clk.gen").expect("clock process");
-    assert_eq!(gen.kind, ProcKind::Thread);
+    assert!(clk_node.kernel_driven, "the clock is recorded as its signal's kernel driver");
+    assert!(!data_node.kernel_driven);
+    assert_eq!(g.processes.len(), 1, "the clock registers no process");
 }
 
 // --- design graph: runtime observation ----------------------------------------
@@ -225,8 +226,11 @@ fn probe_observes_reads_writes_and_activations() {
     assert_eq!(b_node.writers, vec![f.id]);
     assert!(a_node.external_writes, "testbench write recorded as external");
     assert!(b_node.external_reads, "testbench read recorded as external");
-    let gen = g.processes.iter().find(|p| p.name == "clk.gen").unwrap();
-    assert!(gen.used_dynamic_wait, "clock generator parks on timed waits");
+    assert_eq!(g.processes.len(), 1, "the clock registers no process");
+    let clk_node = g.signals.iter().find(|s| s.name == "clk").unwrap();
+    assert!(clk_node.kernel_driven, "the clock is shown as kernel-driven");
+    assert!(clk_node.writers.is_empty(), "per-edge clock writes skip the probe hooks");
+    assert!(!clk_node.external_writes);
     assert!(g.races.is_empty());
     assert!(g.overflow.is_none());
 }

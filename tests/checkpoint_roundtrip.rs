@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use sysc::{Native, ScheduleOrder};
 use vanillanet::Platform;
-use workload::{Boot, BootParams};
+use workload::{Boot, BootParams, DONE_MARKER};
 
 const BUDGET: u64 = 12_000_000;
 
@@ -102,6 +102,13 @@ fn wrong_magic_and_wrong_version_are_typed_errors() {
     bad_version[5] = 0xAB;
     assert_eq!(fresh_target().restore(&bad_version), Err(CkptError::UnsupportedVersion(0xABCD)));
 
+    // Version 1 predates kernel-driven clocks (its KERN section has a
+    // clock generator process and no clock timed entries): refused up
+    // front rather than misread.
+    let mut v1 = blob.to_vec();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(fresh_target().restore(&v1), Err(CkptError::UnsupportedVersion(1)));
+
     assert_eq!(fresh_target().restore(&[]), Err(CkptError::Truncated));
     let mut grown = blob.to_vec();
     grown.push(0);
@@ -110,6 +117,26 @@ fn wrong_magic_and_wrong_version_are_typed_errors() {
         Err(CkptError::Truncated),
         "a blob longer than its declared payload must not validate"
     );
+}
+
+/// `Platform::build` runs no cycles, so a checkpoint can be taken before
+/// the clock's first edge. Restored onto a fresh platform, that clock
+/// must still start on the first run and reproduce the uninterrupted
+/// boot exactly.
+#[test]
+fn never_run_checkpoint_restores_a_clock_that_still_starts() {
+    let kind = ModelKind::KernelCapture;
+    let a = build_boot_sim(kind, boot()).expect("boot sim");
+    let blob = a.checkpoint(false).expect("checkpoint before the first cycle");
+    assert!(a.run_until_gpio(DONE_MARKER, BUDGET), "uninterrupted boot must complete");
+
+    let b = build_boot_sim(kind, boot()).expect("boot sim");
+    b.restore(&blob).expect("restore");
+    assert_eq!(b.cycles(), 0, "restored at time zero");
+    assert!(b.run_until_gpio(DONE_MARKER, BUDGET), "restored boot must complete");
+    assert_eq!(b.cycles(), a.cycles(), "boot cycle count");
+    assert_eq!(b.instructions(), a.instructions(), "retired instructions");
+    assert_eq!(b.arch_snapshot(), a.arch_snapshot(), "architectural state");
 }
 
 proptest! {

@@ -17,6 +17,7 @@
 
 use campaign::fnv1a;
 use reconfig::personality::crc_regs;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use sysc::{Native, Next, ScheduleOrder, SimTime, Simulator};
 use vanillanet::{ArchSnapshot, ModelConfig, Platform};
 use workload::{Boot, BootParams, DONE_MARKER, PANIC_MARKER};
@@ -64,7 +65,11 @@ fn boot_under(order: ScheduleOrder, boot: &Boot) -> OrderDigest {
     // byte-identical file is the strongest schedule-independence witness.
     let dir = std::env::temp_dir().join("mbsim_sched_independence");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("sched_{}_{order}.vcd", std::process::id()));
+    // Tests run on parallel threads and two of them trace the FIFO order:
+    // a per-call file name keeps one from reading or deleting the other's.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("sched_{}_{call}_{order}.vcd", std::process::id()));
     let config = ModelConfig {
         schedule_order: order,
         trace_path: Some(path.clone()),
