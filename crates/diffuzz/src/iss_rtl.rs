@@ -34,7 +34,7 @@
 
 use crate::rng::SplitMix64;
 use crate::shrink;
-use microblaze::isa::{decode, Op, Size};
+use microblaze::isa::{self, decode, Op, Size};
 use microblaze::{Cpu, CpuSnapshot, FlatRam, Retired};
 use rtlsim::RtlSystem;
 
@@ -56,54 +56,50 @@ const MEM_BYTES: usize = 0x1_0000;
 /// once, so anything past this is a generator bug, not a divergence.
 const MAX_ISS_STEPS: usize = 4 * (CODE_SLOTS + 2);
 
-fn type_a(op: u32, rd: u32, ra: u32, rb: u32, low11: u32) -> u32 {
-    (op << 26) | (rd << 21) | (ra << 16) | (rb << 11) | low11
-}
-
-fn type_b(op: u32, rd: u32, ra: u32, imm16: u32) -> u32 {
-    (op << 26) | (rd << 21) | (ra << 16) | (imm16 & 0xFFFF)
+/// Encodes `mnemonic` through the instruction table.
+fn enc(mnemonic: &str, rd: u32, ra: u32, rb: u32, imm: u32) -> u32 {
+    isa::row(mnemonic).expect("generator mnemonics are table rows").encode(rd, ra, rb, imm)
 }
 
 fn reg(rng: &mut SplitMix64) -> u32 {
     rng.below(32) as u32
 }
 
-/// ADD/RSUB family, register form. Opcode low bits: 0=sub, 1=use_carry,
-/// 2=keep. low11 must stay 0: reg-form opcode 0x05 with low11 bit 0 set
-/// decodes as `CMP`, outside the RTL subset.
+/// The logic register forms (the PCMP ones are outside the RTL subset).
+const LOGIC: [&str; 4] = ["or", "and", "xor", "andn"];
+
+/// One of the eight ADD/RSUB register forms (`cmp`/`cmpu` are outside
+/// the RTL subset).
 fn arith_reg(rng: &mut SplitMix64) -> u32 {
-    type_a(rng.below(8) as u32, reg(rng), reg(rng), reg(rng), 0)
+    const M: [&str; 8] = ["add", "rsub", "addc", "rsubc", "addk", "rsubk", "addkc", "rsubkc"];
+    enc(M[rng.below(8) as usize], reg(rng), reg(rng), reg(rng), 0)
 }
 
-/// ADD/RSUB family, immediate form (opcode bit 3).
+/// One of the eight ADD/RSUB immediate forms.
 fn arith_imm(rng: &mut SplitMix64) -> u32 {
-    type_b(0x08 | rng.below(8) as u32, reg(rng), reg(rng), rng.next_u32() & 0xFFFF)
+    const M: [&str; 8] =
+        ["addi", "rsubi", "addic", "rsubic", "addik", "rsubik", "addikc", "rsubikc"];
+    enc(M[rng.below(8) as usize], reg(rng), reg(rng), 0, rng.next_u32())
 }
 
-/// OR/AND/XOR/ANDN. Register forms keep low11 = 0: bit 10 set decodes
-/// as the PCMP family, outside the RTL subset.
+/// OR/AND/XOR/ANDN, register or immediate form.
 fn logic(rng: &mut SplitMix64) -> u32 {
-    let base = 0x20 + rng.below(4) as u32;
+    let k = rng.below(4) as usize;
     if rng.chance(1, 2) {
-        type_a(base, reg(rng), reg(rng), reg(rng), 0)
+        enc(LOGIC[k], reg(rng), reg(rng), reg(rng), 0)
     } else {
-        type_b(base | 0x08, reg(rng), reg(rng), rng.next_u32() & 0xFFFF)
+        enc(["ori", "andi", "xori", "andni"][k], reg(rng), reg(rng), 0, rng.next_u32())
     }
 }
 
-/// Barrel shift. `s` (bit 10) selects left, `t` (bit 9) arithmetic;
-/// `s && t` does not decode.
+/// Barrel shift right-logical, right-arithmetic or left, register or
+/// immediate form.
 fn barrel(rng: &mut SplitMix64) -> u32 {
-    let (s, t) = match rng.below(3) {
-        0 => (false, false),
-        1 => (false, true),
-        _ => (true, false),
-    };
-    let flags = (u32::from(s) << 10) | (u32::from(t) << 9);
+    let k = rng.below(3) as usize;
     if rng.chance(1, 2) {
-        type_a(0x11, reg(rng), reg(rng), reg(rng), flags)
+        enc(["bsrl", "bsra", "bsll"][k], reg(rng), reg(rng), reg(rng), 0)
     } else {
-        type_b(0x19, reg(rng), reg(rng), flags | rng.below(32) as u32)
+        enc(["bsrli", "bsrai", "bslli"][k], reg(rng), reg(rng), 0, rng.below(32) as u32)
     }
 }
 
@@ -114,12 +110,12 @@ fn data_addr(rng: &mut SplitMix64) -> u32 {
 
 /// `lw rd, r0, imm` — word-sized, aligned, `r0`-based: never faults.
 fn load(rng: &mut SplitMix64) -> u32 {
-    type_b(0x3A, reg(rng), 0, data_addr(rng))
+    enc("lwi", reg(rng), 0, 0, data_addr(rng))
 }
 
 /// `sw rd, r0, imm`.
 fn store(rng: &mut SplitMix64) -> u32 {
-    type_b(0x3E, reg(rng), 0, data_addr(rng))
+    enc("swi", reg(rng), 0, 0, data_addr(rng))
 }
 
 /// Register-form ALU instruction for a delay slot (never a branch,
@@ -128,7 +124,7 @@ fn filler(rng: &mut SplitMix64) -> u32 {
     if rng.chance(1, 2) {
         arith_reg(rng)
     } else {
-        type_a(0x20 + rng.below(4) as u32, reg(rng), reg(rng), reg(rng), 0)
+        enc(LOGIC[rng.below(4) as usize], reg(rng), reg(rng), reg(rng), 0)
     }
 }
 
@@ -153,7 +149,7 @@ pub fn gen_program(seed: u64) -> Vec<u32> {
             i += 1;
         } else if roll < 60 && i + 1 < n {
             // IMM prefix, always paired with its immediate-form consumer.
-            prog[i] = type_b(0x2C, 0, 0, rng.next_u32() & 0xFFFF);
+            prog[i] = enc("imm", 0, 0, 0, rng.next_u32());
             prog[i + 1] = arith_imm(&mut rng);
             i += 2;
         } else if roll < 72 {
@@ -172,20 +168,30 @@ pub fn gen_program(seed: u64) -> Vec<u32> {
             let t = lo + rng.below((n - lo + 1) as u64) as usize;
             let off = 4 * (t - i) as u32;
             if rng.chance(1, 2) {
-                // bcc: condition in rd[3:0], delay in rd bit 4.
-                let rd = rng.below(6) as u32 | if delay { 0x10 } else { 0 };
-                prog[i] = type_b(0x2F, rd, reg(&mut rng), off);
+                const BCC: [[&str; 6]; 2] = [
+                    ["beqi", "bnei", "blti", "blei", "bgti", "bgei"],
+                    ["beqid", "bneid", "bltid", "bleid", "bgtid", "bgeid"],
+                ];
+                let m = BCC[usize::from(delay)][rng.below(6) as usize];
+                prog[i] = enc(m, 0, reg(&mut rng), 0, off);
             } else {
-                // br: flags in ra (delay=0x10, abs=0x08, link=0x04);
-                // abs+link without delay decodes as BRK — suppress link
-                // in that corner.
+                // Absolute + link without a delay slot decodes as BRK, so
+                // that corner drops the link.
                 let abs = rng.chance(1, 4);
                 let wants_link = rng.chance(1, 3);
                 let link = wants_link && (delay || !abs);
-                let ra = (u32::from(delay) << 4) | (u32::from(abs) << 3) | (u32::from(link) << 2);
+                let m = match (abs, link, delay) {
+                    (false, false, false) => "bri",
+                    (false, false, true) => "brid",
+                    (true, false, false) => "brai",
+                    (true, false, true) => "braid",
+                    (false, true, false) => "brli",
+                    (false, true, true) => "brlid",
+                    (true, true, _) => "bralid",
+                };
                 let rd = if link { 1 + rng.below(31) as u32 } else { 0 };
                 let imm = if abs { 4 * t as u32 } else { off };
-                prog[i] = type_b(0x2E, rd, ra, imm);
+                prog[i] = enc(m, rd, 0, 0, imm);
             }
             if delay {
                 prog[i + 1] = filler(&mut rng);

@@ -5,9 +5,14 @@
 use diffuzz::iss_rtl::{self, CODE_SLOTS, HALT, NOP};
 use diffuzz::{fuzz_oracle, run_seed, shrink, Oracle};
 
+/// Encodes `mnemonic` through the instruction table.
+fn enc(mnemonic: &str, rd: u32, ra: u32, rb: u32, imm: u32) -> u32 {
+    microblaze::isa::row(mnemonic).expect("table row").encode(rd, ra, rb, imm)
+}
+
 /// `addik rd, r0, imm`.
 fn addik(rd: u32, imm: u32) -> u32 {
-    (0x0C << 26) | (rd << 21) | (imm & 0xFFFF)
+    enc("addik", rd, 0, 0, imm)
 }
 
 /// A program whose body is `insns` padded with NOPs, halt-terminated.
@@ -20,8 +25,8 @@ fn program(insns: &[u32]) -> Vec<u32> {
 
 #[test]
 fn lockstep_oracle_agrees_on_a_handwritten_program() {
-    // r1 = 5; r2 = 7; r3 = r1 + r2 (add = opcode 0x00, reg form).
-    let add = 3 << 21 | (1 << 16) | (2 << 11);
+    // r1 = 5; r2 = 7; r3 = r1 + r2.
+    let add = enc("add", 3, 1, 2, 0);
     iss_rtl::check_program(&program(&[addik(1, 5), addik(2, 7), add])).unwrap();
 }
 
@@ -31,17 +36,16 @@ fn lockstep_oracle_detects_an_out_of_subset_divergence() {
     // RTL subset: the RTL retires it as a NOP while the ISS computes a
     // result into r3. The oracle must flag the register divergence —
     // this is the negative control proving the diff has teeth.
-    let cmp = (0x05 << 26) | (3 << 21) | (1 << 16) | (2 << 11) | 1;
+    let cmp = enc("cmp", 3, 1, 2, 0);
     let err = iss_rtl::check_program(&program(&[addik(1, 5), addik(2, 7), cmp])).unwrap_err();
     assert!(err.contains("r3"), "divergence should name the register: {err}");
 }
 
 #[test]
 fn lockstep_oracle_detects_planted_memory_divergence() {
-    // `swi r1, r0, addr` with a *halfword* store (0x36 reg... use imm
-    // form 0x3D = store-half imm): the RTL only implements word
-    // stores and retires others as NOPs, so the data regions differ.
-    let sh = (0x3D << 26) | (1 << 21) | iss_rtl::DATA_BASE;
+    // `shi r1, r0, addr`, a *halfword* store: the RTL only implements
+    // word stores and retires others as NOPs, so the data regions differ.
+    let sh = enc("shi", 1, 0, 0, iss_rtl::DATA_BASE);
     let err = iss_rtl::check_program(&program(&[addik(1, 0x1234), sh])).unwrap_err();
     assert!(err.contains("data word") || err.contains("r"), "unexpected detail: {err}");
 }
@@ -63,7 +67,7 @@ fn planted_failure_shrinks_to_the_culprit() {
     // Plant a 3-instruction divergence (the CMP from the negative
     // control) in a full-size random-looking body of NOP-equivalent
     // arithmetic, then ddmin it with the real oracle as the predicate.
-    let cmp = (0x05 << 26) | (3 << 21) | (1 << 16) | (2 << 11) | 1;
+    let cmp = enc("cmp", 3, 1, 2, 0);
     let mut body = vec![NOP; CODE_SLOTS];
     body[10] = addik(1, 5);
     body[20] = addik(2, 7);
@@ -114,4 +118,18 @@ fn checkpoint_split_does_not_change_the_verdict() {
             );
         }
     }
+}
+
+#[test]
+fn generated_programs_match_their_pinned_digest() {
+    // The committed `iss_rtl.seeds` corpus names programs by seed, so
+    // the generator's output per seed is part of its contract.
+    let mut bytes = Vec::with_capacity(1000 * 4 * (CODE_SLOTS + 1));
+    for seed in 0..1000 {
+        for w in iss_rtl::gen_program(seed) {
+            bytes.extend_from_slice(&w.to_be_bytes());
+        }
+    }
+    let got = campaign::fnv1a(&bytes);
+    assert_eq!(got, 0x702e148453752bf6);
 }

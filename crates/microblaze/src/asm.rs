@@ -5,13 +5,14 @@
 //! (the symbol table is how the kernel-function capture of §5.4 finds
 //! `memset`/`memcpy`).
 //!
-//! Supported: every integer instruction of the [`isa`](crate::isa) module,
-//! labels, `label±offset` expressions, `.org .word .half .byte .ascii
-//! .asciz .space .align .equ` directives, and the pseudo-instructions
-//! `nop`, `la rd, ra, expr` and `li rd, expr` (which expand to `IMM`
-//! pairs when the value does not fit in 16 bits). Branches to far labels
-//! grow an `IMM` prefix automatically; layout is iterated to a fixed
-//! point.
+//! Supported: every mnemonic of the [`isa::TABLE`] with the
+//! operand syntax its row gives, labels, `label±offset` expressions,
+//! `.org .word .half .byte .ascii .asciz .space .align .equ` directives,
+//! and the pseudo-instructions `nop`, `la rd, ra, expr` and `li rd, expr`
+//! (spellings of `or r0, r0, r0` and `addik`). A mnemonic resolves to its
+//! table row when the source is parsed. Immediates and branch targets
+//! that do not fit in 16 bits take an `IMM` prefix automatically; layout
+//! is iterated to a fixed point.
 //!
 //! # Examples
 //!
@@ -30,6 +31,7 @@
 //! # Ok::<(), microblaze::asm::AsmError>(())
 //! ```
 
+use crate::isa::{self, Opnd, Row, SREG_NAMES};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -58,11 +60,27 @@ impl Image {
         }
     }
 
+    /// The first assembled address outside `[base, base + len)`, if any.
+    pub fn first_outside(&self, base: u32, len: usize) -> Option<u32> {
+        let end = u64::from(base) + len as u64;
+        self.chunks.iter().filter(|(_, bytes)| !bytes.is_empty()).find_map(|(start, bytes)| {
+            let chunk_end = u64::from(*start) + bytes.len() as u64;
+            if *start < base {
+                Some(*start)
+            } else if chunk_end > end {
+                Some(end.max(u64::from(*start)) as u32)
+            } else {
+                None
+            }
+        })
+    }
+
     /// Flattens into a single buffer covering `[base, base + len)`.
     ///
     /// # Panics
     ///
-    /// Panics if any chunk falls outside the window.
+    /// Panics if any chunk falls outside the window (see
+    /// [`Image::first_outside`]).
     pub fn flatten(&self, base: u32, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
         self.load_into(|addr, b| {
@@ -76,6 +94,17 @@ impl Image {
     /// Total assembled byte count.
     pub fn size(&self) -> usize {
         self.chunks.iter().map(|(_, b)| b.len()).sum()
+    }
+
+    /// Appends `bytes` at `addr`, extending the last chunk when it ends
+    /// exactly there.
+    fn emit(&mut self, addr: u32, bytes: &[u8]) {
+        match self.chunks.last_mut() {
+            Some((base, buf)) if u64::from(*base) + buf.len() as u64 == u64::from(addr) => {
+                buf.extend_from_slice(bytes)
+            }
+            _ => self.chunks.push((addr, bytes.to_vec())),
+        }
     }
 }
 
@@ -111,7 +140,20 @@ enum Item {
     Space(String),
     Align(String),
     Equ(String, String),
-    Insn { mnemonic: String, ops: Vec<String> },
+    /// An instruction, resolved to its table row at parse time, with
+    /// one operand per slot of the row's syntax.
+    Insn {
+        row: &'static Row,
+        ops: Vec<Operand>,
+    },
+}
+
+/// An instruction operand. Registers and special registers are known
+/// once parsed; expressions are evaluated in every layout round.
+#[derive(Debug, Clone)]
+enum Operand {
+    Known(u32),
+    Expr(String),
 }
 
 struct Line {
@@ -147,8 +189,10 @@ fn parse_string_literal(line: usize, s: &str, zero_terminate: bool) -> Result<Ve
                 Some('"') => out.push(b'"'),
                 other => return err(line, format!("bad escape `\\{other:?}`")),
             }
-        } else {
+        } else if c.is_ascii() {
             out.push(c as u8);
+        } else {
+            return err(line, format!("non-ASCII character `{c}` in string"));
         }
     }
     if zero_terminate {
@@ -220,11 +264,48 @@ fn parse_lines(src: &str) -> Result<Vec<Line>, AsmError> {
                 Item::Equ(ops[0].clone(), ops[1].clone())
             }
             d if d.starts_with('.') => return err(no, format!("unknown directive `{word}`")),
-            _ => Item::Insn { mnemonic: word_lc, ops: split_ops(tail) },
+            _ => parse_insn(no, &word_lc, split_ops(tail))?,
         };
         out.push(Line { no, item });
     }
     Ok(out)
+}
+
+/// Resolves an instruction to its table row and parses its register
+/// operands. The pseudo-ops are spellings of real rows.
+fn parse_insn(line: usize, mnemonic: &str, mut ops: Vec<String>) -> Result<Item, AsmError> {
+    let name = match mnemonic {
+        "nop" => {
+            expect_ops(line, &ops, 0, mnemonic)?;
+            ops = vec!["r0".into(); 3];
+            "or"
+        }
+        "la" => {
+            expect_ops(line, &ops, 3, mnemonic)?;
+            "addik"
+        }
+        "li" => {
+            expect_ops(line, &ops, 2, mnemonic)?;
+            ops.insert(1, "r0".into());
+            "addik"
+        }
+        m => m,
+    };
+    let Some(row) = isa::row(name) else {
+        return err(line, format!("unknown mnemonic `{mnemonic}`"));
+    };
+    expect_ops(line, &ops, row.syntax.len(), mnemonic)?;
+    let ops = row
+        .syntax
+        .iter()
+        .zip(ops)
+        .map(|(opnd, text)| match opnd {
+            Opnd::Rd | Opnd::Ra | Opnd::Rb => parse_reg(line, &text).map(Operand::Known),
+            Opnd::Sreg => parse_sreg(line, &text).map(Operand::Known),
+            _ => Ok(Operand::Expr(text)),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Item::Insn { row, ops })
 }
 
 /// Evaluates `number`, `label`, `label+n`, `label-n`.
@@ -244,7 +325,8 @@ fn eval(line: usize, expr: &str, symbols: &HashMap<String, i64>) -> Result<i64, 
     if let Some((idx, c)) = split {
         let lhs = eval(line, &expr[..idx], symbols)?;
         let rhs = eval(line, &expr[idx + 1..], symbols)?;
-        return Ok(if c == '+' { lhs + rhs } else { lhs - rhs });
+        let v = if c == '+' { lhs.checked_add(rhs) } else { lhs.checked_sub(rhs) };
+        return v.ok_or_else(|| AsmError { line, message: format!("`{expr}` overflows") });
     }
     let (neg, body) = match expr.strip_prefix('-') {
         Some(b) => (true, b.trim()),
@@ -282,73 +364,11 @@ fn parse_reg(line: usize, s: &str) -> Result<u32, AsmError> {
     Ok(n)
 }
 
-fn parse_sreg(line: usize, s: &str) -> Result<u16, AsmError> {
-    use crate::isa::sreg;
-    Ok(match s.trim().to_ascii_lowercase().as_str() {
-        "rpc" => sreg::PC,
-        "rmsr" => sreg::MSR,
-        "rear" => sreg::EAR,
-        "resr" => sreg::ESR,
-        "rfsr" => sreg::FSR,
-        "rbtr" => sreg::BTR,
-        other => return err(line, format!("unknown special register `{other}`")),
-    })
-}
-
-const fn ta(op: u32, rd: u32, ra: u32, rb: u32, low11: u32) -> u32 {
-    (op << 26) | (rd << 21) | (ra << 16) | (rb << 11) | low11
-}
-
-const fn tb(op: u32, rd: u32, ra: u32, imm: u32) -> u32 {
-    (op << 26) | (rd << 21) | (ra << 16) | (imm & 0xFFFF)
-}
-
-fn fits16(v: i64) -> bool {
-    (-32768..=32767).contains(&v)
-}
-
-/// Encoded words for one source instruction (1 or 2, the 2-word case
-/// being an `IMM` prefix pair).
-struct Enc {
-    words: Vec<u32>,
-}
-
-impl Enc {
-    fn one(w: u32) -> Enc {
-        Enc { words: vec![w] }
-    }
-    /// Type-B instruction with a possibly wide immediate: emits an `IMM`
-    /// prefix when needed (or when `force_wide`, to keep layout stable).
-    fn imm_b(op: u32, rd: u32, ra: u32, value: i64, force_wide: bool) -> Enc {
-        if fits16(value) && !force_wide {
-            Enc { words: vec![tb(op, rd, ra, value as u32)] }
-        } else {
-            let v = value as u32; // wrapping view of the 32-bit value
-            Enc { words: vec![tb(0x2C, 0, 0, v >> 16), tb(op, rd, ra, v)] }
-        }
-    }
-}
-
-struct InsnCtx<'a> {
-    line: usize,
-    addr: u32,
-    symbols: &'a HashMap<String, i64>,
-    wide: bool,
-}
-
-impl InsnCtx<'_> {
-    fn eval(&self, expr: &str) -> Result<i64, AsmError> {
-        eval(self.line, expr, self.symbols)
-    }
-    fn reg(&self, s: &str) -> Result<u32, AsmError> {
-        parse_reg(self.line, s)
-    }
-    /// PC-relative displacement to a target expression, accounting for the
-    /// `IMM` prefix shifting the branch itself.
-    fn rel(&self, expr: &str, wide: bool) -> Result<i64, AsmError> {
-        let target = self.eval(expr)?;
-        let branch_addr = self.addr as i64 + if wide { 4 } else { 0 };
-        Ok(target - branch_addr)
+fn parse_sreg(line: usize, s: &str) -> Result<u32, AsmError> {
+    let s = s.trim().to_ascii_lowercase();
+    match SREG_NAMES.iter().find(|(name, _)| *name == s) {
+        Some(&(_, n)) => Ok(u32::from(n)),
+        None => err(line, format!("unknown special register `{s}`")),
     }
 }
 
@@ -359,342 +379,73 @@ fn expect_ops(line: usize, ops: &[String], n: usize, mnem: &str) -> Result<(), A
     Ok(())
 }
 
-/// Encodes one instruction. `ctx.wide` is the sticky "this instruction
-/// needed an IMM prefix in an earlier pass" flag; the result must keep
-/// using the wide form so the layout converges.
-#[allow(clippy::too_many_lines)]
-fn encode(mnemonic: &str, ops: &[String], ctx: &InsnCtx<'_>) -> Result<Enc, AsmError> {
-    let line = ctx.line;
-    let m = mnemonic;
+/// The values a `bits`-wide field accepts: its signed and its unsigned
+/// reading.
+fn width(bits: u32) -> (i64, i64) {
+    (-(1 << (bits - 1)), (1 << bits) - 1)
+}
 
-    // Pseudo-instructions first.
-    match m {
-        "nop" => return Ok(Enc::one(ta(0x20, 0, 0, 0, 0))), // or r0,r0,r0
-        "la" => {
-            expect_ops(line, ops, 3, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let v = ctx.eval(&ops[2])?;
-            return Ok(Enc::imm_b(0x0C, rd, ra, v, ctx.wide)); // addik
-        }
-        "li" => {
-            expect_ops(line, ops, 2, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let v = ctx.eval(&ops[1])?;
-            return Ok(Enc::imm_b(0x0C, rd, 0, v, ctx.wide));
-        }
-        _ => {}
-    }
-
-    // ADD/RSUB family (including carry/keep/imm variants).
-    let arith = |base_sub: bool, m: &str| -> Option<(u32, bool)> {
-        // Returns (opcode, imm_form).
-        let rest = if base_sub { m.strip_prefix("rsub")? } else { m.strip_prefix("add")? };
-        let mut opc: u32 = u32::from(base_sub);
-        let mut imm = false;
-        let mut chars = rest.chars().peekable();
-        // Order in mnemonics: [i][k][c] as in addik, addikc, addc, addkc.
-        while let Some(c) = chars.next() {
-            match c {
-                'i' => imm = true,
-                'k' => opc |= 4,
-                'c' => opc |= 2,
-                _ => return None,
-            }
-            let _ = &chars;
-        }
-        if imm {
-            opc |= 8;
-        }
-        Some((opc, imm))
-    };
-    if let Some((opc, imm)) = arith(false, m).or_else(|| arith(true, m)) {
-        expect_ops(line, ops, 3, m)?;
-        let rd = ctx.reg(&ops[0])?;
-        let ra = ctx.reg(&ops[1])?;
-        if imm {
-            let v = ctx.eval(&ops[2])?;
-            return Ok(Enc::imm_b(opc, rd, ra, v, ctx.wide));
-        }
-        let rb = ctx.reg(&ops[2])?;
-        return Ok(Enc::one(ta(opc, rd, ra, rb, 0)));
-    }
-
-    match m {
-        "cmp" | "cmpu" => {
-            expect_ops(line, ops, 3, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let rb = ctx.reg(&ops[2])?;
-            let low = if m == "cmpu" { 3 } else { 1 };
-            Ok(Enc::one(ta(0x05, rd, ra, rb, low)))
-        }
-        "mul" | "mulh" | "mulhu" | "mulhsu" => {
-            expect_ops(line, ops, 3, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let rb = ctx.reg(&ops[2])?;
-            let low = match m {
-                "mul" => 0,
-                "mulh" => 1,
-                "mulhsu" => 2,
-                _ => 3,
-            };
-            Ok(Enc::one(ta(0x10, rd, ra, rb, low)))
-        }
-        "muli" => {
-            expect_ops(line, ops, 3, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let v = ctx.eval(&ops[2])?;
-            Ok(Enc::imm_b(0x18, rd, ra, v, ctx.wide))
-        }
-        "idiv" | "idivu" => {
-            expect_ops(line, ops, 3, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let rb = ctx.reg(&ops[2])?;
-            Ok(Enc::one(ta(0x12, rd, ra, rb, if m == "idivu" { 2 } else { 0 })))
-        }
-        "bsll" | "bsra" | "bsrl" | "bslli" | "bsrai" | "bsrli" => {
-            expect_ops(line, ops, 3, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let (s, t) = match &m[..4] {
-                "bsll" => (1u32, 0u32),
-                "bsra" => (0, 1),
-                _ => (0, 0),
-            };
-            let stmask = (s << 10) | (t << 9);
-            if m.ends_with('i') {
-                let v = ctx.eval(&ops[2])?;
-                if !(0..=31).contains(&v) {
-                    return err(line, format!("shift amount {v} out of range"));
-                }
-                Ok(Enc::one(tb(0x19, rd, ra, stmask | v as u32)))
-            } else {
-                let rb = ctx.reg(&ops[2])?;
-                Ok(Enc::one(ta(0x11, rd, ra, rb, stmask)))
-            }
-        }
-        "or" | "and" | "xor" | "andn" => {
-            expect_ops(line, ops, 3, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let rb = ctx.reg(&ops[2])?;
-            let opc = match m {
-                "or" => 0x20,
-                "and" => 0x21,
-                "xor" => 0x22,
-                _ => 0x23,
-            };
-            Ok(Enc::one(ta(opc, rd, ra, rb, 0)))
-        }
-        "ori" | "andi" | "xori" | "andni" => {
-            expect_ops(line, ops, 3, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let v = ctx.eval(&ops[2])?;
-            let opc = match m {
-                "ori" => 0x28,
-                "andi" => 0x29,
-                "xori" => 0x2A,
-                _ => 0x2B,
-            };
-            // Logic immediates are not sign-extended usefully for masks;
-            // still use the 16-bit form when the value fits either signed
-            // or as a plain 16-bit mask.
-            if (0..=0xFFFF).contains(&v) && !ctx.wide {
-                // The CPU sign-extends imm16; a value with bit 15 set
-                // would smear into the upper half, so only use the short
-                // form for 0..=0x7FFF unless the caller wants exactly the
-                // sign-extended pattern.
-                if v <= 0x7FFF {
-                    return Ok(Enc::one(tb(opc, rd, ra, v as u32)));
-                }
-                return Ok(Enc::imm_b(opc, rd, ra, v, true));
-            }
-            Ok(Enc::imm_b(opc, rd, ra, v, ctx.wide))
-        }
-        "pcmpbf" | "pcmpeq" | "pcmpne" => {
-            expect_ops(line, ops, 3, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let rb = ctx.reg(&ops[2])?;
-            let opc = match m {
-                "pcmpbf" => 0x20,
-                "pcmpeq" => 0x22,
-                _ => 0x23,
-            };
-            Ok(Enc::one(ta(opc, rd, ra, rb, 1 << 10)))
-        }
-        "sra" | "src" | "srl" => {
-            expect_ops(line, ops, 2, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            let imm = match m {
-                "sra" => 0x0001,
-                "src" => 0x0021,
-                _ => 0x0041,
-            };
-            Ok(Enc::one(tb(0x24, rd, ra, imm)))
-        }
-        "sext8" | "sext16" => {
-            expect_ops(line, ops, 2, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            Ok(Enc::one(tb(0x24, rd, ra, if m == "sext8" { 0x60 } else { 0x61 })))
-        }
-        "wic" | "wdc" => {
-            expect_ops(line, ops, 2, m)?;
-            let ra = ctx.reg(&ops[0])?;
-            let rb = ctx.reg(&ops[1])?;
-            let imm = if m == "wic" { 0x0068 } else { 0x0064 };
-            Ok(Enc::one(ta(0x24, 0, ra, rb, imm)))
-        }
-        "mfs" => {
-            expect_ops(line, ops, 2, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let s = parse_sreg(line, &ops[1])?;
-            Ok(Enc::one(tb(0x25, rd, 0, 0x8000 | s as u32)))
-        }
-        "mts" => {
-            expect_ops(line, ops, 2, m)?;
-            let s = parse_sreg(line, &ops[0])?;
-            let ra = ctx.reg(&ops[1])?;
-            Ok(Enc::one(tb(0x25, 0, ra, 0xC000 | s as u32)))
-        }
-        "msrset" | "msrclr" => {
-            expect_ops(line, ops, 2, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let v = ctx.eval(&ops[1])?;
-            if !(0..=0x7FFF).contains(&v) {
-                return err(line, format!("MSR bit mask {v:#x} out of 15-bit range"));
-            }
-            let ra = u32::from(m == "msrclr");
-            Ok(Enc::one(tb(0x25, rd, ra, v as u32)))
-        }
-        "imm" => {
-            expect_ops(line, ops, 1, m)?;
-            let v = ctx.eval(&ops[0])?;
-            Ok(Enc::one(tb(0x2C, 0, 0, v as u32)))
-        }
-        "rtsd" | "rtid" | "rtbd" | "rted" => {
-            expect_ops(line, ops, 2, m)?;
-            let ra = ctx.reg(&ops[0])?;
-            let v = ctx.eval(&ops[1])?;
-            let rd = match m {
-                "rtsd" => 0x10,
-                "rtid" => 0x11,
-                "rtbd" => 0x12,
-                _ => 0x14,
-            };
-            if !fits16(v) {
-                return err(line, "rt* displacement out of 16-bit range");
-            }
-            Ok(Enc::one(tb(0x2D, rd, ra, v as u32)))
-        }
-        "brk" => {
-            expect_ops(line, ops, 2, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let rb = ctx.reg(&ops[1])?;
-            Ok(Enc::one(ta(0x26, rd, 0x0C, rb, 0)))
-        }
-        "brki" => {
-            expect_ops(line, ops, 2, m)?;
-            let rd = ctx.reg(&ops[0])?;
-            let v = ctx.eval(&ops[1])?;
-            Ok(Enc::imm_b(0x2E, rd, 0x0C, v, ctx.wide))
-        }
-        _ => encode_branch_or_mem(m, ops, ctx),
+/// Checks `v` against `(lo, hi)`.
+fn in_range(line: usize, what: &str, v: i64, (lo, hi): (i64, i64)) -> Result<i64, AsmError> {
+    if (lo..=hi).contains(&v) {
+        Ok(v)
+    } else {
+        err(line, format!("{what} {v} out of range {lo}..={hi}"))
     }
 }
 
-fn encode_branch_or_mem(m: &str, ops: &[String], ctx: &InsnCtx<'_>) -> Result<Enc, AsmError> {
-    let line = ctx.line;
-
-    // Loads/stores: l{bu,hu,w}[i], s{b,h,w}[i].
-    let mem = |opc_reg: u32| -> Result<Enc, AsmError> {
-        expect_ops(line, ops, 3, m)?;
-        let rd = ctx.reg(&ops[0])?;
-        let ra = ctx.reg(&ops[1])?;
-        if m.ends_with('i') {
-            let v = ctx.eval(&ops[2])?;
-            Ok(Enc::imm_b(opc_reg + 8, rd, ra, v, ctx.wide))
-        } else {
-            let rb = ctx.reg(&ops[2])?;
-            Ok(Enc::one(ta(opc_reg, rd, ra, rb, 0)))
-        }
-    };
-    match m {
-        "lbu" | "lbui" => return mem(0x30),
-        "lhu" | "lhui" => return mem(0x31),
-        "lw" | "lwi" => return mem(0x32),
-        "sb" | "sbi" => return mem(0x34),
-        "sh" | "shi" => return mem(0x35),
-        "sw" | "swi" => return mem(0x36),
-        _ => {}
+/// What an expression slot may hold: its name and range.
+fn operand_range(opnd: Opnd) -> (&'static str, (i64, i64)) {
+    match opnd {
+        Opnd::Imm => ("immediate", width(32)),
+        Opnd::Target => ("branch target", width(32)),
+        Opnd::Simm16 => ("displacement", (-0x8000, 0x7FFF)),
+        Opnd::Uimm16 => ("IMM value", width(16)),
+        Opnd::Shamt => ("shift amount", (0, 31)),
+        Opnd::Mask15 => ("MSR bit mask", (0, 0x7FFF)),
+        Opnd::Rd | Opnd::Ra | Opnd::Rb | Opnd::Sreg => unreachable!("parsed with the source"),
     }
+}
 
-    // Conditional branches: b{eq,ne,lt,le,gt,ge}[i][d].
-    if let Some(rest) = m.strip_prefix('b') {
-        if rest.len() >= 2 {
-            let cond = match &rest[..2] {
-                "eq" => Some(crate::isa::Cond::Eq),
-                "ne" => Some(crate::isa::Cond::Ne),
-                "lt" => Some(crate::isa::Cond::Lt),
-                "le" => Some(crate::isa::Cond::Le),
-                "gt" => Some(crate::isa::Cond::Gt),
-                "ge" => Some(crate::isa::Cond::Ge),
-                _ => None,
-            };
-            if let Some(cond) = cond {
-                let flags = &rest[2..];
-                let imm = flags.contains('i');
-                let delay = flags.contains('d');
-                if !flags.chars().all(|c| c == 'i' || c == 'd') {
-                    return err(line, format!("unknown mnemonic `{m}`"));
+fn fits16(v: i64) -> bool {
+    (-32768..=32767).contains(&v)
+}
+
+struct InsnCtx<'a> {
+    line: usize,
+    addr: u32,
+    symbols: &'a HashMap<String, i64>,
+    /// The sticky "this instruction needed an `IMM` prefix in an earlier
+    /// round" flag: the encoding keeps the wide form so layout converges.
+    wide: bool,
+}
+
+/// Encodes one instruction: the word, preceded by an `IMM` prefix when
+/// its `Imm`/`Target` operand does not fit in 16 bits or `ctx.wide`.
+fn encode(row: &Row, ops: &[Operand], ctx: &InsnCtx<'_>) -> Result<(Option<u32>, u32), AsmError> {
+    let mut word = row.encode(0, 0, 0, 0);
+    let mut prefix = None;
+    for (&opnd, op) in row.syntax.iter().zip(ops) {
+        let v = match op {
+            Operand::Known(v) => *v,
+            Operand::Expr(expr) => {
+                let (what, range) = operand_range(opnd);
+                let mut v = in_range(ctx.line, what, eval(ctx.line, expr, ctx.symbols)?, range)?;
+                if opnd == Opnd::Target {
+                    // PC-relative to the branch itself, after any prefix.
+                    v -= i64::from(ctx.addr) + if ctx.wide { 4 } else { 0 };
                 }
-                expect_ops(line, ops, 2, m)?;
-                let ra = ctx.reg(&ops[0])?;
-                let rd = cond.encoding() | if delay { 0x10 } else { 0 };
-                if imm {
-                    let wide = ctx.wide;
-                    let disp = ctx.rel(&ops[1], wide)?;
-                    return Ok(Enc::imm_b(0x2F, rd, ra, disp, wide));
+                let word = v as u32; // the two's-complement view
+                if matches!(opnd, Opnd::Imm | Opnd::Target) && (ctx.wide || !fits16(v)) {
+                    prefix = Some(word >> 16);
                 }
-                let rb = ctx.reg(&ops[1])?;
-                return Ok(Enc::one(ta(0x27, rd, ra, rb, 0)));
+                word
             }
-        }
+        };
+        word |= opnd.place(v);
     }
-
-    // Unconditional branches: br[a][l][i][d].
-    if let Some(rest) = m.strip_prefix("br") {
-        let abs = rest.contains('a');
-        let link = rest.contains('l');
-        let imm = rest.contains('i');
-        let delay = rest.contains('d');
-        if rest.chars().all(|c| "alid".contains(c)) {
-            let ra_field = (u32::from(delay) << 4) | (u32::from(abs) << 3) | (u32::from(link) << 2);
-            let (rd, target_op) = if link {
-                expect_ops(line, ops, 2, m)?;
-                (ctx.reg(&ops[0])?, &ops[1])
-            } else {
-                expect_ops(line, ops, 1, m)?;
-                (0, &ops[0])
-            };
-            if imm {
-                let wide = ctx.wide;
-                let v = if abs { ctx.eval(target_op)? } else { ctx.rel(target_op, wide)? };
-                return Ok(Enc::imm_b(0x2E, rd, ra_field, v, wide));
-            }
-            let rb = ctx.reg(target_op)?;
-            return Ok(Enc::one(ta(0x26, rd, ra_field, rb, 0)));
-        }
-    }
-
-    err(line, format!("unknown mnemonic `{m}`"))
+    let imm = isa::row("imm").expect("the table has the IMM prefix");
+    Ok((prefix.map(|high| imm.encode(0, 0, 0, high)), word))
 }
 
 /// Assembles MicroBlaze source into an [`Image`].
@@ -702,155 +453,143 @@ fn encode_branch_or_mem(m: &str, ops: &[String], ctx: &InsnCtx<'_>) -> Result<En
 /// # Errors
 ///
 /// Returns the first [`AsmError`] (with line number) encountered: unknown
-/// mnemonics/directives, malformed operands, undefined symbols, or a
-/// layout that fails to converge.
+/// mnemonics/directives, malformed or out-of-range operands, undefined
+/// symbols, or a location counter that leaves the 32-bit address space.
 pub fn assemble(src: &str) -> Result<Image, AsmError> {
     let lines = parse_lines(src)?;
-
-    // Sticky wide flags per instruction line index.
-    let mut wide: Vec<bool> = vec![false; lines.len()];
-    let mut symbols: HashMap<String, i64> = HashMap::new();
-
-    // Layout iteration: addresses + wide flags to a fixed point.
-    for _round in 0..32 {
-        let mut addr: u32 = 0;
-        let mut new_symbols: HashMap<String, i64> = HashMap::new();
-        let mut changed = false;
-        for (idx, l) in lines.iter().enumerate() {
-            match &l.item {
-                Item::Label(name) => {
-                    new_symbols.insert(name.clone(), addr as i64);
-                }
-                Item::Equ(name, value) => {
-                    // .equ may reference earlier symbols only.
-                    let v =
-                        eval(l.no, value, &new_symbols).or_else(|_| eval(l.no, value, &symbols))?;
-                    new_symbols.insert(name.clone(), v);
-                }
-                Item::Org(e) => {
-                    let v = eval(l.no, e, &new_symbols).or_else(|_| eval(l.no, e, &symbols))?;
-                    addr = v as u32;
-                }
-                Item::Word(ws) => addr += 4 * ws.len() as u32,
-                Item::Half(hs) => addr += 2 * hs.len() as u32,
-                Item::Byte(bs) => addr += bs.len() as u32,
-                Item::Ascii(bytes) => addr += bytes.len() as u32,
-                Item::Space(e) => {
-                    let v = eval(l.no, e, &new_symbols).or_else(|_| eval(l.no, e, &symbols))?;
-                    addr += v as u32;
-                }
-                Item::Align(e) => {
-                    let v =
-                        eval(l.no, e, &new_symbols).or_else(|_| eval(l.no, e, &symbols))? as u32;
-                    if v > 0 {
-                        addr = addr.div_ceil(v) * v;
-                    }
-                }
-                Item::Insn { mnemonic, ops } => {
-                    // Size this instruction with current knowledge; symbols
-                    // not yet defined use last round's estimate (or force
-                    // wide on the first encounter).
-                    let probe = InsnCtx { line: l.no, addr, symbols: &symbols, wide: wide[idx] };
-                    let size = match encode(mnemonic, ops, &probe) {
-                        Ok(e) => 4 * e.words.len() as u32,
-                        // Unknown forward symbol in round 0: assume the
-                        // narrow form; if the resolved value does not fit,
-                        // the next round flips the sticky wide flag.
-                        Err(_) if _round == 0 => 4,
-                        Err(e) => return Err(e),
-                    };
-                    if size == 8 && !wide[idx] {
-                        wide[idx] = true;
-                        changed = true;
-                    }
-                    addr += if wide[idx] { 8 } else { 4 };
-                }
-            }
-        }
-        if new_symbols != symbols {
-            changed = true;
-        }
-        symbols = new_symbols;
-        if !changed && _round > 0 {
+    let mut wide = vec![false; lines.len()];
+    let mut symbols = HashMap::new();
+    // Layout rounds: addresses and sticky wide flags to a fixed point.
+    for round in 0..32 {
+        let (defined, changed) = walk(&lines, &symbols, &mut wide, round == 0, None)?;
+        let settled = !changed && defined == symbols;
+        symbols = defined;
+        if settled && round > 0 {
             break;
         }
     }
-
-    // Emission pass.
     let mut image = Image::default();
-    let mut addr: u32 = 0;
-    let mut current: Option<(u32, Vec<u8>)> = None;
-
-    fn emit(current: &mut Option<(u32, Vec<u8>)>, image: &mut Image, addr: u32, bytes: &[u8]) {
-        match current {
-            Some((base, buf)) if *base + buf.len() as u32 == addr => buf.extend_from_slice(bytes),
-            _ => {
-                if let Some(chunk) = current.take() {
-                    image.chunks.push(chunk);
-                }
-                *current = Some((addr, bytes.to_vec()));
-            }
-        }
-    }
-
-    for (idx, l) in lines.iter().enumerate() {
-        match &l.item {
-            Item::Label(_) | Item::Equ(..) => {}
-            Item::Org(e) => addr = eval(l.no, e, &symbols)? as u32,
-            Item::Word(ws) => {
-                for w in ws {
-                    let v = eval(l.no, w, &symbols)? as u32;
-                    emit(&mut current, &mut image, addr, &v.to_be_bytes());
-                    addr += 4;
-                }
-            }
-            Item::Half(hs) => {
-                for h in hs {
-                    let v = eval(l.no, h, &symbols)? as u16;
-                    emit(&mut current, &mut image, addr, &v.to_be_bytes());
-                    addr += 2;
-                }
-            }
-            Item::Byte(bs) => {
-                for b in bs {
-                    let v = eval(l.no, b, &symbols)? as u8;
-                    emit(&mut current, &mut image, addr, &[v]);
-                    addr += 1;
-                }
-            }
-            Item::Ascii(bytes) => {
-                emit(&mut current, &mut image, addr, bytes);
-                addr += bytes.len() as u32;
-            }
-            Item::Space(e) => {
-                let n = eval(l.no, e, &symbols)? as usize;
-                emit(&mut current, &mut image, addr, &vec![0u8; n]);
-                addr += n as u32;
-            }
-            Item::Align(e) => {
-                let v = eval(l.no, e, &symbols)? as u32;
-                if v > 0 {
-                    let next = addr.div_ceil(v) * v;
-                    if next > addr {
-                        emit(&mut current, &mut image, addr, &vec![0u8; (next - addr) as usize]);
-                    }
-                    addr = next;
-                }
-            }
-            Item::Insn { mnemonic, ops } => {
-                let ctx = InsnCtx { line: l.no, addr, symbols: &symbols, wide: wide[idx] };
-                let enc = encode(mnemonic, ops, &ctx)?;
-                for w in &enc.words {
-                    emit(&mut current, &mut image, addr, &w.to_be_bytes());
-                    addr += 4;
-                }
-            }
-        }
-    }
-    if let Some(chunk) = current.take() {
-        image.chunks.push(chunk);
-    }
+    walk(&lines, &symbols, &mut wide, false, Some(&mut image))?;
     image.symbols =
         symbols.into_iter().filter_map(|(k, v)| u32::try_from(v).ok().map(|v| (k, v))).collect();
     Ok(image)
+}
+
+/// One pass over the program: places every item, returning the symbols
+/// it defines and whether a wide flag flipped. `symbols` are the
+/// previous round's; `first` marks round 0, where an instruction that
+/// fails to encode (a forward reference) is assumed narrow. With `image`
+/// the pass also emits bytes.
+fn walk(
+    lines: &[Line],
+    symbols: &HashMap<String, i64>,
+    wide: &mut [bool],
+    first: bool,
+    mut image: Option<&mut Image>,
+) -> Result<(HashMap<String, i64>, bool), AsmError> {
+    let mut defined: HashMap<String, i64> = HashMap::new();
+    let mut addr: u64 = 0;
+    let mut changed = false;
+    let emitting = image.is_some();
+    let mut bytes: Vec<u8> = Vec::new();
+    for (idx, l) in lines.iter().enumerate() {
+        let no = l.no;
+        // Directive operands may name symbols defined earlier in this
+        // pass, or (for forward references) last round's.
+        let value = |e: &str, defined: &HashMap<String, i64>| {
+            eval(no, e, defined).or_else(|_| eval(no, e, symbols))
+        };
+        bytes.clear();
+        let size = match &l.item {
+            Item::Label(name) => {
+                defined.insert(name.clone(), addr as i64);
+                continue;
+            }
+            Item::Equ(name, e) => {
+                let v = value(e, &defined)?;
+                defined.insert(name.clone(), v);
+                continue;
+            }
+            Item::Org(e) => {
+                let v = value(e, &defined)?;
+                addr = in_range(no, "`.org` address", v, (0, u32::MAX.into()))? as u64;
+                continue;
+            }
+            Item::Word(vs) | Item::Half(vs) | Item::Byte(vs) => {
+                let n: usize = match l.item {
+                    Item::Word(_) => 4,
+                    Item::Half(_) => 2,
+                    _ => 1,
+                };
+                if emitting {
+                    for e in vs {
+                        let v = in_range(no, "value", eval(no, e, symbols)?, width(8 * n as u32))?;
+                        bytes.extend_from_slice(&(v as u32).to_be_bytes()[4 - n..]);
+                    }
+                }
+                (n * vs.len()) as u64
+            }
+            Item::Ascii(text) => {
+                if emitting {
+                    bytes.extend_from_slice(text);
+                }
+                text.len() as u64
+            }
+            Item::Space(e) => {
+                let room = (1 << 32) - addr as i64;
+                let n = in_range(no, "`.space` size", value(e, &defined)?, (0, room))? as u64;
+                if emitting {
+                    bytes.resize(n as usize, 0);
+                }
+                n
+            }
+            Item::Align(e) => {
+                let v = value(e, &defined)?;
+                let v = in_range(no, "`.align` boundary", v, (0, u32::MAX.into()))? as u64;
+                let pad = if v > 0 { addr.next_multiple_of(v) - addr } else { 0 };
+                if pad == 0 {
+                    continue;
+                }
+                if emitting {
+                    bytes.resize(pad as usize, 0);
+                }
+                pad
+            }
+            Item::Insn { row, ops } => {
+                let ctx = InsnCtx { line: no, addr: addr as u32, symbols, wide: wide[idx] };
+                match encode(row, ops, &ctx) {
+                    Ok((prefix, word)) => {
+                        if prefix.is_some() && !wide[idx] {
+                            wide[idx] = true;
+                            changed = true;
+                        }
+                        if emitting {
+                            for w in prefix.into_iter().chain([word]) {
+                                bytes.extend_from_slice(&w.to_be_bytes());
+                            }
+                        }
+                    }
+                    Err(_) if first => {}
+                    Err(e) => return Err(e),
+                }
+                if wide[idx] {
+                    8
+                } else {
+                    4
+                }
+            }
+        };
+        let end = addr + size;
+        if end > 1 << 32 {
+            return err(no, format!("location counter passes the 32-bit address space ({end:#x})"));
+        }
+        // `.space` and strings open a chunk even when empty; data lists
+        // emit per value.
+        let opens_chunk = matches!(l.item, Item::Space(_) | Item::Ascii(_));
+        if let Some(image) = image.as_deref_mut().filter(|_| opens_chunk || !bytes.is_empty()) {
+            image.emit(addr as u32, &bytes);
+        }
+        addr = end;
+    }
+    Ok((defined, changed))
 }

@@ -19,42 +19,58 @@ fn parse_num(s: &str) -> Option<u64> {
     }
 }
 
+const USAGE: &str =
+    "usage: mb-asm input.s [-o out.bin] [--base ADDR] [--size BYTES] [--symbols] [--hex]";
+
+/// Reports a command-line error and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("mb-asm: {message}\n{USAGE}");
+    exit(2);
+}
+
+/// The value after `flag`, converted by `parse`.
+fn flag_value<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> T {
+    match args.next() {
+        Some(v) => parse(&v).unwrap_or_else(|| usage_error(&format!("bad value `{v}` for {flag}"))),
+        None => usage_error(&format!("{flag} needs a value")),
+    }
+}
+
 fn main() {
     let mut input = None;
     let mut output = None;
     let mut base: u32 = 0;
-    let mut size: usize = 0;
+    let mut size: u64 = 0;
     let mut symbols = false;
     let mut hex = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "-o" => output = args.next(),
+            "-o" => output = Some(flag_value(&mut args, "-o", |v| Some(v.to_string()))),
             "--base" => {
-                base = args.next().and_then(|v| parse_num(&v)).expect("--base ADDR") as u32;
+                base = flag_value(&mut args, "--base", |v| parse_num(v)?.try_into().ok());
             }
-            "--size" => {
-                size = args.next().and_then(|v| parse_num(&v)).expect("--size BYTES") as usize;
-            }
+            "--size" => size = flag_value(&mut args, "--size", parse_num),
             "--symbols" => symbols = true,
             "--hex" => hex = true,
             "--help" | "-h" => {
-                println!(
-                    "mb-asm input.s [-o out.bin] [--base ADDR] [--size BYTES] [--symbols] [--hex]"
-                );
+                println!("{USAGE}");
                 return;
             }
             other if input.is_none() => input = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument `{other}`");
-                exit(2);
-            }
+            other => usage_error(&format!("unexpected argument `{other}`")),
         }
     }
+    if u64::from(base) + size > 1 << 32 {
+        usage_error("--base + --size passes the 32-bit address space");
+    }
     let Some(input) = input else {
-        eprintln!("usage: mb-asm input.s [-o out.bin] (try --help)");
-        exit(2);
+        usage_error("no input file");
     };
     let src = match std::fs::read_to_string(&input) {
         Ok(s) => s,
@@ -78,19 +94,27 @@ fn main() {
         }
     }
     let end = img.chunks.iter().map(|(b, bytes)| *b as u64 + bytes.len() as u64).max().unwrap_or(0);
-    let window = if size > 0 { size } else { (end.saturating_sub(base as u64)) as usize };
-    let flat = img.flatten(base, window.max(4));
+    let window = if size > 0 { size } else { end.saturating_sub(base as u64) }.max(4) as usize;
+    if let Some(addr) = img.first_outside(base, window) {
+        eprintln!("{input}: {addr:#010x} lies outside the output window {base:#010x}+{window:#x}");
+        exit(1);
+    }
+    let flat = img.flatten(base, window);
     let out = output.unwrap_or_else(|| format!("{input}.bin"));
-    if hex {
+    let bytes = if hex {
         let mut text = String::new();
         for w in flat.chunks(4) {
             let mut word = [0u8; 4];
             word[..w.len()].copy_from_slice(w);
             text.push_str(&format!("{:08x}\n", u32::from_be_bytes(word)));
         }
-        std::fs::write(&out, text).expect("write output");
+        text.into_bytes()
     } else {
-        std::fs::write(&out, &flat).expect("write output");
+        flat
+    };
+    if let Err(e) = std::fs::write(&out, &bytes) {
+        eprintln!("{out}: {e}");
+        exit(1);
     }
-    eprintln!("{out}: {} bytes from {base:#010x}", flat.len());
+    eprintln!("{out}: {} bytes from {base:#010x}", window);
 }

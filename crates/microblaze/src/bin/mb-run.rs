@@ -14,6 +14,26 @@ use microblaze::disasm::disassemble;
 use microblaze::{Cpu, FlatRam};
 use std::process::exit;
 
+const USAGE: &str = "usage: mb-run input.s [--max N] [--trace] [--ram BYTES] [--entry ADDR|label]";
+
+/// Reports a command-line error and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("mb-run: {message}\n{USAGE}");
+    exit(2);
+}
+
+/// The value after `flag`, converted by `parse`.
+fn flag_value<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> T {
+    match args.next() {
+        Some(v) => parse(&v).unwrap_or_else(|| usage_error(&format!("bad value `{v}` for {flag}"))),
+        None => usage_error(&format!("{flag} needs a value")),
+    }
+}
+
 fn main() {
     let mut input = None;
     let mut max: u64 = 10_000_000;
@@ -24,26 +44,25 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--max" => max = args.next().and_then(|v| v.parse().ok()).expect("--max N"),
+            "--max" => max = flag_value(&mut args, "--max", |v| v.parse().ok()),
             "--trace" => trace = true,
             "--ram" => {
-                ram_size = args.next().and_then(|v| v.parse().ok()).expect("--ram BYTES");
+                // The RAM maps from address 0, so it cannot pass 4 GiB.
+                ram_size = flag_value(&mut args, "--ram", |v| {
+                    v.parse().ok().filter(|&n: &usize| n as u64 <= 1 << 32)
+                });
             }
-            "--entry" => entry = args.next(),
+            "--entry" => entry = Some(flag_value(&mut args, "--entry", |v| Some(v.to_string()))),
             "--help" | "-h" => {
-                println!("mb-run input.s [--max N] [--trace] [--ram BYTES] [--entry ADDR|label]");
+                println!("{USAGE}");
                 return;
             }
             other if input.is_none() => input = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument `{other}`");
-                exit(2);
-            }
+            other => usage_error(&format!("unexpected argument `{other}`")),
         }
     }
     let Some(input) = input else {
-        eprintln!("usage: mb-run input.s (try --help)");
-        exit(2);
+        usage_error("no input file");
     };
     let src = std::fs::read_to_string(&input).unwrap_or_else(|e| {
         eprintln!("{input}: {e}");
@@ -53,6 +72,10 @@ fn main() {
         eprintln!("{input}:{e}");
         exit(1);
     });
+    if let Some(addr) = img.first_outside(0, ram_size) {
+        eprintln!("{input}: {addr:#010x} lies outside the {ram_size:#x}-byte RAM");
+        exit(1);
+    }
     let start = match entry.as_deref() {
         None => img.symbol("_start").unwrap_or(0),
         Some(e) => img

@@ -1,12 +1,17 @@
 //! A MicroBlaze disassembler, primarily for debugging models and for
-//! round-trip testing the assembler.
+//! round-trip testing the assembler. It prints each word's
+//! [`isa::TABLE`](crate::isa::TABLE) row: the mnemonic, then the
+//! operands in the row's syntax.
 
-use crate::isa::{decode, BsKind, LogicKind, MulKind, Op, PcmpKind, RtKind, ShiftKind, Size};
+use crate::isa::{self, Opnd, SREG_NAMES};
+use std::fmt::Write;
 
 /// Disassembles one instruction word into GNU-`as`-style text.
 ///
 /// The result re-assembles to the same word for every encoding the
-/// assembler can produce (round-trip tested).
+/// assembler can produce (round-trip tested). Words without an
+/// assembler row, and special registers without a name, print as
+/// `.word`.
 ///
 /// # Examples
 ///
@@ -16,195 +21,27 @@ use crate::isa::{decode, BsKind, LogicKind, MulKind, Op, PcmpKind, RtKind, Shift
 /// assert_eq!(disassemble(0x3060_002A), "addik r3, r0, 42");
 /// ```
 pub fn disassemble(raw: u32) -> String {
-    let d = decode(raw);
-    let rd = d.rd;
-    let ra = d.ra;
-    let rb = d.rb;
-    let simm = d.simm();
-
-    let rrr = |m: &str| format!("{m} r{rd}, r{ra}, r{rb}");
-    let rri = |m: &str| format!("{m} r{rd}, r{ra}, {simm}");
-
-    match d.op {
-        Op::Arith { sub, keep, use_carry } => {
-            let mut m = String::from(if sub { "rsub" } else { "add" });
-            if d.imm_form {
-                m.push('i');
-            }
-            if keep {
-                m.push('k');
-            }
-            if use_carry {
-                m.push('c');
-            }
-            if d.imm_form {
-                rri(&m)
-            } else {
-                rrr(&m)
-            }
-        }
-        Op::Cmp { unsigned } => rrr(if unsigned { "cmpu" } else { "cmp" }),
-        Op::Mul(kind) => {
-            if d.imm_form {
-                rri("muli")
-            } else {
-                rrr(match kind {
-                    MulKind::Low => "mul",
-                    MulKind::HighSigned => "mulh",
-                    MulKind::HighSignedUnsigned => "mulhsu",
-                    MulKind::HighUnsigned => "mulhu",
-                })
-            }
-        }
-        Op::Bs(kind) => {
-            let base = match kind {
-                BsKind::RightLogical => "bsrl",
-                BsKind::RightArithmetic => "bsra",
-                BsKind::LeftLogical => "bsll",
-            };
-            if d.imm_form {
-                format!("{base}i r{rd}, r{ra}, {}", d.imm16 & 31)
-            } else {
-                rrr(base)
-            }
-        }
-        Op::Idiv { unsigned } => rrr(if unsigned { "idivu" } else { "idiv" }),
-        Op::Logic(kind) => {
-            let base = match kind {
-                LogicKind::Or => "or",
-                LogicKind::And => "and",
-                LogicKind::Xor => "xor",
-                LogicKind::Andn => "andn",
-            };
-            if d.imm_form {
-                rri(&format!("{base}i"))
-            } else if raw == 0x8000_0000 {
-                "nop".to_string()
-            } else {
-                rrr(base)
-            }
-        }
-        Op::Pcmp(kind) => rrr(match kind {
-            PcmpKind::ByteFind => "pcmpbf",
-            PcmpKind::Eq => "pcmpeq",
-            PcmpKind::Ne => "pcmpne",
-        }),
-        Op::Shift(kind) => {
-            let m = match kind {
-                ShiftKind::Arithmetic => "sra",
-                ShiftKind::Carry => "src",
-                ShiftKind::Logical => "srl",
-            };
-            format!("{m} r{rd}, r{ra}")
-        }
-        Op::Sext8 => format!("sext8 r{rd}, r{ra}"),
-        Op::Sext16 => format!("sext16 r{rd}, r{ra}"),
-        Op::CacheOp => format!("wdc r{ra}, r{rb}"),
-        Op::Mfs => match sreg_name(d.imm16 & 0x3FFF) {
-            Some(name) => format!("mfs r{rd}, {name}"),
-            None => format!(".word {raw:#010x} ; mfs r{rd}, sreg {:#x}", d.imm16 & 0x3FFF),
-        },
-        Op::Mts => match sreg_name(d.imm16 & 0x3FFF) {
-            Some(name) => format!("mts {name}, r{ra}"),
-            None => format!(".word {raw:#010x} ; mts sreg {:#x}, r{ra}", d.imm16 & 0x3FFF),
-        },
-        Op::Msrset => format!("msrset r{rd}, {:#x}", d.imm16 & 0x7FFF),
-        Op::Msrclr => format!("msrclr r{rd}, {:#x}", d.imm16 & 0x7FFF),
-        Op::Imm => format!("imm {:#x}", d.imm16),
-        Op::Br { abs, link, delay } => {
-            let mut m = String::from("br");
-            if abs {
-                m.push('a');
-            }
-            if link {
-                m.push('l');
-            }
-            if d.imm_form {
-                m.push('i');
-            }
-            if delay {
-                m.push('d');
-            }
-            if link {
-                if d.imm_form {
-                    format!("{m} r{rd}, {simm}")
-                } else {
-                    format!("{m} r{rd}, r{rb}")
-                }
-            } else if d.imm_form {
-                format!("{m} {simm}")
-            } else {
-                format!("{m} r{rb}")
-            }
-        }
-        Op::Brk => {
-            if d.imm_form {
-                format!("brki r{rd}, {simm}")
-            } else {
-                format!("brk r{rd}, r{rb}")
-            }
-        }
-        Op::Bcc { cond, delay } => {
-            let mut m = format!("b{cond}");
-            if d.imm_form {
-                m.push('i');
-            }
-            if delay {
-                m.push('d');
-            }
-            if d.imm_form {
-                format!("{m} r{ra}, {simm}")
-            } else {
-                format!("{m} r{ra}, r{rb}")
-            }
-        }
-        Op::Rt(kind) => {
-            let m = match kind {
-                RtKind::Sub => "rtsd",
-                RtKind::Interrupt => "rtid",
-                RtKind::Break => "rtbd",
-                RtKind::Exception => "rted",
-            };
-            format!("{m} r{ra}, {simm}")
-        }
-        Op::Load(size) => {
-            let base = match size {
-                Size::Byte => "lbu",
-                Size::Half => "lhu",
-                Size::Word => "lw",
-            };
-            if d.imm_form {
-                rri(&format!("{base}i"))
-            } else {
-                rrr(base)
-            }
-        }
-        Op::Store(size) => {
-            let base = match size {
-                Size::Byte => "sb",
-                Size::Half => "sh",
-                Size::Word => "sw",
-            };
-            if d.imm_form {
-                rri(&format!("{base}i"))
-            } else {
-                rrr(base)
-            }
-        }
-        Op::Fsl => format!(".word {raw:#010x} ; fsl"),
-        Op::Illegal => format!(".word {raw:#010x}"),
+    if raw == isa::NOP {
+        return "nop".to_string();
     }
-}
-
-fn sreg_name(n: u16) -> Option<&'static str> {
-    use crate::isa::sreg;
-    Some(match n {
-        sreg::PC => "rpc",
-        sreg::MSR => "rmsr",
-        sreg::EAR => "rear",
-        sreg::ESR => "resr",
-        sreg::FSR => "rfsr",
-        sreg::BTR => "rbtr",
-        _ => return None,
-    })
+    let word = || format!(".word {raw:#010x}");
+    let Some(row) = isa::row_of(raw).filter(|row| !row.mnemonic.is_empty()) else {
+        return word();
+    };
+    let mut text = row.mnemonic.to_string();
+    for (i, &opnd) in row.syntax.iter().enumerate() {
+        text.push_str(if i == 0 { " " } else { ", " });
+        let v = opnd.get(raw);
+        let _ = match opnd {
+            Opnd::Rd | Opnd::Ra | Opnd::Rb => write!(text, "r{v}"),
+            Opnd::Imm | Opnd::Target | Opnd::Simm16 => write!(text, "{}", v as u16 as i16),
+            Opnd::Uimm16 | Opnd::Mask15 => write!(text, "{v:#x}"),
+            Opnd::Shamt => write!(text, "{v}"),
+            Opnd::Sreg => match SREG_NAMES.iter().find(|&&(_, n)| u32::from(n) == v) {
+                Some((name, _)) => write!(text, "{name}"),
+                None => return word(),
+            },
+        };
+    }
+    text
 }

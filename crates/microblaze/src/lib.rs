@@ -8,7 +8,7 @@
 //!   calls) so a cycle-accurate platform wrapper can stretch each memory
 //!   access over bus cycles, with a one-call [`Cpu::step`] for functional
 //!   use;
-//! * [`isa`] — decoder and architectural constants;
+//! * [`isa`] — the instruction table, decoder and architectural constants;
 //! * [`asm`] — two-pass assembler with automatic `IMM`-prefix sizing;
 //! * [`disasm`] — disassembler;
 //! * [`abi`] — C calling-convention register map (used by the paper's
@@ -504,8 +504,6 @@ halt:       bri halt
 #[cfg(test)]
 mod asm_tests {
     use super::asm::assemble;
-    use super::disasm::disassemble;
-    use super::isa::decode;
 
     #[test]
     fn labels_and_directives() {
@@ -575,64 +573,6 @@ fwd:        nop
         assert!(e.to_string().contains("bogus"));
         let e = assemble("addik r3, r0, nosuchsym").unwrap_err();
         assert!(e.message.contains("nosuchsym"));
-    }
-
-    #[test]
-    fn disasm_round_trip_via_decode() {
-        // For a corpus of hand-written instructions, disassembling and
-        // re-assembling must reproduce the same word.
-        let src = r#"
-            add r1, r2, r3
-            rsubik r4, r5, -20
-            addc r6, r7, r8
-            cmp r3, r1, r2
-            cmpu r3, r1, r2
-            mul r3, r4, r5
-            mulh r3, r4, r5
-            mulhu r3, r4, r5
-            muli r3, r4, 77
-            idiv r3, r4, r5
-            idivu r3, r4, r5
-            bsll r3, r4, r5
-            bsra r3, r4, r5
-            bsrl r3, r4, r5
-            bslli r3, r4, 7
-            or r3, r4, r5
-            andi r3, r4, 0xFF
-            xor r3, r4, r5
-            andn r3, r4, r5
-            pcmpbf r3, r4, r5
-            pcmpeq r3, r4, r5
-            pcmpne r3, r4, r5
-            sra r3, r4
-            src r3, r4
-            srl r3, r4
-            sext8 r3, r4
-            sext16 r3, r4
-            mfs r3, rmsr
-            mts rmsr, r3
-            msrset r3, 0x2
-            msrclr r3, 0x4
-            rtsd r15, 8
-            rtid r14, 0
-            lbu r3, r4, r5
-            lw r3, r4, r5
-            sb r3, r4, r5
-            swi r3, r4, 0x30
-            lwi r3, r4, -4
-            nop
-        "#;
-        let img = assemble(src).unwrap();
-        let flat = img.flatten(0, img.size());
-        for chunk in flat.chunks(4) {
-            let raw = u32::from_be_bytes(chunk.try_into().unwrap());
-            let text = disassemble(raw);
-            let re = assemble(&text).unwrap_or_else(|e| panic!("re-assemble `{text}`: {e}"));
-            let rf = re.flatten(0, 4);
-            let round = u32::from_be_bytes(rf[0..4].try_into().unwrap());
-            assert_eq!(round, raw, "round trip failed for `{text}` ({raw:#010x})");
-            assert_eq!(decode(raw), decode(round));
-        }
     }
 
     #[test]

@@ -217,3 +217,81 @@ fn image_helpers() {
     img.load_into(|a, b| collected.push((a, b)));
     assert_eq!(collected, vec![(0, 0x11), (1, 0x22), (2, 0x33), (3, 0x44)]);
 }
+
+#[test]
+fn cache_ops_decode_with_any_rb_and_disassemble_to_their_own_mnemonic() {
+    // The sub-code lives in the low 11 bits; rb sits above it.
+    let wdc = first_word("wdc r3, r5");
+    assert_eq!(wdc, 0x9003_2864);
+    assert_eq!(decode(wdc).op, Op::CacheOp);
+    assert_eq!(disassemble(wdc), "wdc r3, r5");
+    let wic = first_word("wic r3, r0");
+    assert_eq!(wic, 0x9003_0068);
+    assert_eq!(disassemble(wic), "wic r3, r0");
+    assert_eq!(decode(first_word("wic r3, r5")).op, Op::CacheOp);
+}
+
+#[test]
+fn msr_set_and_clear_take_a_full_15_bit_mask() {
+    let set = first_word("msrset r3, 0x4000");
+    assert_eq!(set, 0x9460_4000);
+    assert_eq!(decode(set).op, Op::Msrset);
+    let clr = first_word("msrclr r3, 0x7fff");
+    assert_eq!(decode(clr).op, Op::Msrclr);
+    assert_eq!(disassemble(clr), "msrclr r3, 0x7fff");
+}
+
+#[test]
+fn negative_space_is_an_error() {
+    let e = assemble("nop\n.space -1\n").unwrap_err();
+    assert_eq!(e.line, 2);
+    assert!(e.message.contains("out of range"), "{e}");
+}
+
+#[test]
+fn location_counter_overflow_is_an_error() {
+    // The last word of the address space is usable; one more is not.
+    assert!(assemble(".org 0xFFFFFFFC\nnop\n").is_ok());
+    let e = assemble(".org 0xFFFFFFFC\nnop\nnop\n").unwrap_err();
+    assert_eq!(e.line, 3);
+    assert!(e.message.contains("address space"), "{e}");
+}
+
+#[test]
+fn overflowing_expressions_and_non_ascii_strings_are_errors() {
+    let e = assemble("li r3, 0x7FFFFFFFFFFFFFFF+1").unwrap_err();
+    assert!(e.message.contains("overflows"), "{e}");
+    let e = assemble(".ascii \"caf\u{e9}\"").unwrap_err();
+    assert!(e.message.contains("non-ASCII"), "{e}");
+}
+
+#[test]
+fn imm_value_wider_than_16_bits_is_an_error() {
+    let e = assemble("imm 0x123456789").unwrap_err();
+    assert!(e.message.contains("out of range"), "{e}");
+    assert_eq!(first_word("imm 0xdead"), 0xB000_DEAD);
+    assert_eq!(first_word("imm -1"), 0xB000_FFFF);
+}
+
+#[test]
+fn unknown_mnemonic_is_rejected_when_parsed() {
+    // Reported before layout, so ahead of line 1's undefined symbol.
+    let e = assemble("li r3, nosuch\nbogus r1\n").unwrap_err();
+    assert_eq!(e.line, 2);
+    assert!(e.message.contains("unknown mnemonic `bogus`"), "{e}");
+}
+
+#[test]
+fn values_outside_the_signed_16_bit_range_take_an_imm_prefix() {
+    // 0xFFFFFFFF and -1 are the same 32-bit value, but only -1 is
+    // written as one; logic masks 0x8000..=0xFFFF are widened too.
+    for (src, words) in [
+        ("li r3, -1", 1),
+        ("li r3, 0xFFFFFFFF", 2),
+        ("ori r3, r3, 0x7FFF", 1),
+        ("ori r3, r3, 0x8000", 2),
+        ("andi r3, r3, 0xFFFF", 2),
+    ] {
+        assert_eq!(assemble(src).unwrap().size(), 4 * words, "{src}");
+    }
+}
